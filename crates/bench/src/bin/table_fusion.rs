@@ -10,6 +10,27 @@ use reno_core::RenoConfig;
 use reno_sim::MachineConfig;
 use reno_workloads::{media_suite, spec_suite, Workload};
 
+/// Smallest |CF free| speedup (%) the `kept` ratio divides by. Below it the
+/// speedup is within the table's resolution, and the ratio only amplifies
+/// rounding (it printed 1643% and -744% at `RENO_SCALE=small`).
+const MIN_FREE_PCT: f64 = 0.5;
+
+/// The share of the free-fusion speedup kept when fusion costs a cycle,
+/// as a percentage, or `None` when the free speedup is too small to divide
+/// by.
+fn kept_pct(free: f64, paid: f64) -> Option<f64> {
+    (free.abs() >= MIN_FREE_PCT).then(|| paid / free * 100.0)
+}
+
+/// Right-aligns an optional whole percentage in `width` columns (`n/a`
+/// when absent).
+fn pct_cell(v: Option<f64>, width: usize) -> String {
+    match v {
+        Some(v) => format!("{v:>width$.0}"),
+        None => format!("{:>width$}", "n/a"),
+    }
+}
+
 fn panel(suite_name: &str, workloads: &[Workload]) {
     let jobs: Vec<_> = workloads
         .iter()
@@ -41,27 +62,22 @@ fn panel(suite_name: &str, workloads: &[Workload]) {
         let paid = it.next().expect("job list covers the panel");
         let s_fast = fast.speedup_pct_vs(&base);
         let s_paid = paid.speedup_pct_vs(&base);
-        let kept = if s_fast.abs() < 0.05 {
-            100.0
-        } else {
-            s_paid / s_fast * 100.0
-        };
         println!(
-            "{:<10} {:>12.1} {:>14.1} {:>12.0}",
-            w.name, s_fast, s_paid, kept
+            "{:<10} {:>12.1} {:>14.1} {}",
+            w.name,
+            s_fast,
+            s_paid,
+            pct_cell(kept_pct(s_fast, s_paid), 12)
         );
         free.push(s_fast);
         slow.push(s_paid);
     }
     let (f, s) = (amean(&free), amean(&slow));
+    let kept = kept_pct(f, s);
+    println!("{:<10} {f:>12.1} {s:>14.1} {}", "amean", pct_cell(kept, 12));
     println!(
-        "{:<10} {f:>12.1} {s:>14.1} {:>12.0}",
-        "amean",
-        s / f.max(0.01) * 100.0
-    );
-    println!(
-        "advantage lost with 1-cycle fusion: {:.0}% relative ({:.1}% absolute)",
-        (1.0 - s / f.max(0.01)) * 100.0,
+        "advantage lost with 1-cycle fusion: {}% relative ({:.1}% absolute)",
+        pct_cell(kept.map(|k| 100.0 - k), 0),
         f - s
     );
 }

@@ -1,7 +1,6 @@
 //! # reno-bench — the experiment harness
 //!
-//! One binary per table/figure in the paper's evaluation (see DESIGN.md §3
-//! and EXPERIMENTS.md for the index):
+//! One binary per table/figure in the paper's evaluation:
 //!
 //! | binary | artifact |
 //! |--------|----------|

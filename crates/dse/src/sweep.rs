@@ -140,9 +140,11 @@ pub struct SweepOptions {
     /// Cells that wedge on the **first** attempt only (exercises
     /// timeout-retry-succeeds).
     pub stall_first_attempt: Vec<String>,
-    /// Per-cell watchdog deadline override in milliseconds. `None` uses
-    /// `RENO_DSE_CELL_DEADLINE_MS`, else the fuel-derived default scaled
-    /// by `RENO_DSE_DEADLINE_MULT`.
+    /// Watchdog deadline in milliseconds for the fault-injected attempts
+    /// (those the four lists above make panic or wedge). `None` gives them
+    /// the normal budget. Healthy attempts always get the normal budget:
+    /// `RENO_DSE_CELL_DEADLINE_MS`, else the fuel-derived default scaled by
+    /// `RENO_DSE_DEADLINE_MULT`.
     pub deadline_ms: Option<u64>,
     /// Journal lease tuning override. `None` reads the environment
     /// ([`LeaseConfig::from_env`]); in-process tests inject directly
@@ -367,14 +369,11 @@ fn sample_config(mode: &Mode) -> Option<SampleConfig> {
     }
 }
 
-/// The per-cell watchdog deadline: explicit override, env override, or the
-/// fuel-derived default (full mode budgets generously against the slowest
-/// plausible host; sampled mode has no fuel, so a flat generous cap) scaled
-/// by `RENO_DSE_DEADLINE_MULT`.
-fn cell_deadline(spec: &SweepSpec, opts: &SweepOptions) -> Duration {
-    if let Some(ms) = opts.deadline_ms {
-        return Duration::from_millis(ms);
-    }
+/// The per-cell watchdog deadline: env override, or the fuel-derived
+/// default (full mode budgets generously against the slowest plausible
+/// host; sampled mode has no fuel, so a flat generous cap) scaled by
+/// `RENO_DSE_DEADLINE_MULT`.
+fn cell_deadline(spec: &SweepSpec) -> Duration {
     if let Some(ms) = std::env::var("RENO_DSE_CELL_DEADLINE_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -634,7 +633,18 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
     } else {
         passes.into_iter().map(|p| Some(Arc::new(p))).collect()
     };
-    let deadline = cell_deadline(spec, opts);
+    let deadline = cell_deadline(spec);
+    // The test-only override tightens the watchdog on fault-injected
+    // attempts alone, so a healthy cell never races a deadline sized for a
+    // wedge.
+    let fault_deadline = opts.deadline_ms.map_or(deadline, Duration::from_millis);
+    let job_deadline = |job: &CellJob| {
+        Some(if job.inject_panic || job.inject_stall {
+            fault_deadline
+        } else {
+            deadline
+        })
+    };
     let make_job = |i: usize, attempt: u32| -> CellJob {
         let cell = &cells[i];
         let first = attempt == 1;
@@ -672,7 +682,7 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
     // recomputes, which is always safe.
     let mut run_round = |idxs: &[usize], attempt: u32| -> Vec<Result<CellResult, JobError>> {
         let jobs: Vec<CellJob> = idxs.iter().map(|&i| make_job(i, attempt)).collect();
-        try_par_map_deadline(jobs, Some(deadline), job_fn, |k, res| match res {
+        try_par_map_deadline(jobs, job_deadline, job_fn, |k, res| match res {
             Ok(r) => {
                 computed += 1;
                 if let Some(j) = &journal {

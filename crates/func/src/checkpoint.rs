@@ -135,7 +135,9 @@ impl Checkpoint {
 
     /// Like [`Checkpoint::restore`], but starting from a caller-held copy
     /// of the program's initial memory image instead of rebuilding it —
-    /// the cheap path when restoring many checkpoints of one program.
+    /// the cheap path when restoring many checkpoints of one program. The
+    /// restored machine shares every page the delta does not replace with
+    /// `base` (see [`Memory`]'s copy-on-write pages).
     pub fn restore_with_base(&self, base: &Memory) -> Cpu {
         self.restore_onto(base.clone())
     }

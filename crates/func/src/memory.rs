@@ -1,4 +1,5 @@
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -12,6 +13,12 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 /// Pages are allocated on first touch; reads of untouched memory return zero.
 /// Unaligned accesses are permitted (they are assembled a byte at a time).
 ///
+/// Pages are copy-on-write: a clone shares every page with its original
+/// under a reference count, so cloning costs one page-table copy (plus the
+/// dirty set), not one 4 KiB copy per resident page. The first write to a
+/// shared page copies that page alone. Clones are fully independent
+/// machines — writes, dirty tracking and deltas never leak between them.
+///
 /// ```
 /// use reno_func::Memory;
 /// let mut m = Memory::new();
@@ -21,7 +28,7 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Arc<[u8; PAGE_SIZE]>>,
     /// Pages written since the last [`Memory::clear_dirty`] — the write
     /// paths maintain this natively so checkpointing engines get the dirty
     /// set without instrumenting the instruction stream.
@@ -72,6 +79,18 @@ impl Memory {
         self.pages.len()
     }
 
+    /// The writable page `pno`: allocated zeroed on first touch, copied
+    /// first if a clone still shares it.
+    #[inline]
+    fn page_mut(&mut self, pno: u64) -> &mut [u8; PAGE_SIZE] {
+        self.mark_dirty(pno);
+        Arc::make_mut(
+            self.pages
+                .entry(pno)
+                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE])),
+        )
+    }
+
     /// Reads one byte.
     #[inline]
     pub fn read_u8(&self, addr: u64) -> u8 {
@@ -84,12 +103,7 @@ impl Memory {
     /// Writes one byte.
     #[inline]
     pub fn write_u8(&mut self, addr: u64, val: u8) {
-        self.mark_dirty(addr >> PAGE_SHIFT);
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = val;
+        self.page_mut(addr >> PAGE_SHIFT)[(addr & PAGE_MASK) as usize] = val;
     }
 
     /// Reads `n <= 8` bytes little-endian into a `u64`.
@@ -126,11 +140,7 @@ impl Memory {
         debug_assert!(n <= 8);
         let off = (addr & PAGE_MASK) as usize;
         if off + n as usize <= PAGE_SIZE {
-            self.mark_dirty(addr >> PAGE_SHIFT);
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            let page = self.page_mut(addr >> PAGE_SHIFT);
             for (i, b) in page[off..off + n as usize].iter_mut().enumerate() {
                 *b = (val >> (8 * i)) as u8;
             }
@@ -162,12 +172,7 @@ impl Memory {
         while !rest.is_empty() {
             let off = (addr & PAGE_MASK) as usize;
             let n = rest.len().min(PAGE_SIZE - off);
-            self.mark_dirty(addr >> PAGE_SHIFT);
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + n].copy_from_slice(&rest[..n]);
+            self.page_mut(addr >> PAGE_SHIFT)[off..off + n].copy_from_slice(&rest[..n]);
             addr += n as u64;
             rest = &rest[n..];
         }
@@ -198,8 +203,14 @@ impl Memory {
         const ZEROS: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
         let mut out = Vec::new();
         for pno in pages {
-            let ours: &[u8] = self.pages.get(&pno).map_or(&ZEROS, |p| &p[..]);
-            let theirs: &[u8] = base.pages.get(&pno).map_or(&ZEROS, |p| &p[..]);
+            let (ours, theirs) = (self.pages.get(&pno), base.pages.get(&pno));
+            if let (Some(a), Some(b)) = (ours, theirs) {
+                if Arc::ptr_eq(a, b) {
+                    continue; // still shared with `base`: identical by construction
+                }
+            }
+            let ours: &[u8] = ours.map_or(&ZEROS, |p| &p[..]);
+            let theirs: &[u8] = theirs.map_or(&ZEROS, |p| &p[..]);
             if ours != theirs {
                 out.push((pno, ours.to_vec()));
             }
@@ -215,14 +226,19 @@ impl Memory {
         }
     }
 
-    /// Overwrites one whole page with `bytes` (see [`PAGE_BYTES`]).
+    /// Overwrites one whole page with `bytes` (see [`PAGE_BYTES`]),
+    /// installing a fresh page: a page this memory shares with a clone is
+    /// replaced here, never copied and then overwritten.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` is not exactly [`PAGE_BYTES`] long.
     pub fn apply_page(&mut self, page_number: u64, bytes: &[u8]) {
         assert_eq!(bytes.len(), PAGE_SIZE, "a page delta is a whole page");
-        self.write_bytes(page_number << PAGE_SHIFT, bytes);
+        let mut page = [0u8; PAGE_SIZE];
+        page.copy_from_slice(bytes);
+        self.mark_dirty(page_number);
+        self.pages.insert(page_number, Arc::new(page));
     }
 }
 
@@ -317,5 +333,100 @@ mod tests {
         assert_eq!(restored.read_u64(0x2000), u64::MAX);
         assert_eq!(restored.read_u64(0xabc0), 0x5a5a);
         assert!(restored.delta_from(&m).is_empty());
+    }
+
+    /// Pages `a` and `b` hold the same allocation.
+    fn shares(a: &Memory, b: &Memory, pno: u64) -> bool {
+        Arc::ptr_eq(&a.pages[&pno], &b.pages[&pno])
+    }
+
+    #[test]
+    fn clone_writes_never_leak_either_way() {
+        let mut orig = Memory::new();
+        orig.write_u64(0x1000, 1);
+        orig.write_u64(0x2000, 2);
+        let mut copy = orig.clone();
+        assert!(shares(&orig, &copy, 1) && shares(&orig, &copy, 2));
+
+        copy.write_u64(0x1000, 10); // copy-side write to a shared page
+        assert_eq!(orig.read_u64(0x1000), 1, "the clone's write stays out");
+        assert_eq!(copy.read_u64(0x1000), 10);
+        assert!(!shares(&orig, &copy, 1), "the written page was copied");
+        assert!(
+            shares(&orig, &copy, 2),
+            "the untouched page is still shared"
+        );
+
+        orig.write_u64(0x2008, 20); // original-side write to a shared page
+        assert_eq!(copy.read_u64(0x2008), 0, "the original's write stays out");
+        assert_eq!(orig.read_u64(0x2008), 20);
+        assert_eq!(copy.read_u64(0x2000), 2, "the rest of the page survives");
+
+        copy.write_bytes(0x2ffe, &[7, 7, 7, 7]); // straddles pages 2 and 3
+        assert_eq!(orig.read_bytes(0x2ffe, 4), vec![0, 0, 0, 0]);
+        assert_eq!(orig.resident_pages(), 2, "no page appears in the original");
+        assert_eq!(copy.resident_pages(), 3);
+    }
+
+    #[test]
+    fn dirty_tracking_is_independent_per_clone() {
+        let mut orig = Memory::new();
+        orig.write_u64(0x1000, 1);
+        orig.clear_dirty();
+        let mut copy = orig.clone();
+        copy.write_u8(0x1001, 5);
+        assert_eq!(copy.dirty_pages_sorted(), vec![0x1]);
+        assert!(orig.dirty_pages_sorted().is_empty(), "no dirt leaks back");
+
+        orig.write_u8(0x4000, 9);
+        assert_eq!(orig.dirty_pages_sorted(), vec![0x4]);
+        assert_eq!(copy.dirty_pages_sorted(), vec![0x1], "nor forward");
+
+        // A clone starts from its original's dirty set, then diverges.
+        let mut copy2 = orig.clone();
+        assert_eq!(copy2.dirty_pages_sorted(), vec![0x4]);
+        copy2.clear_dirty();
+        orig.write_u8(0x4001, 1);
+        assert_eq!(orig.dirty_pages_sorted(), vec![0x4]);
+        assert!(copy2.dirty_pages_sorted().is_empty());
+        copy2.write_u8(0x4002, 2);
+        assert_eq!(copy2.dirty_pages_sorted(), vec![0x4]);
+    }
+
+    #[test]
+    fn delta_of_a_sharing_clone_is_empty() {
+        let mut base = Memory::new();
+        for pno in 0..8u64 {
+            base.write_u64(pno << PAGE_SHIFT, pno + 1);
+        }
+        let mut copy = base.clone();
+        assert!(copy.delta_from(&base).is_empty());
+        assert!(base.delta_from(&copy).is_empty());
+        copy.write_u64(0x3000, 4); // same value: copied, content unchanged
+        assert!(!shares(&base, &copy, 3));
+        assert!(copy.delta_from(&base).is_empty(), "content, not sharing");
+        copy.write_u64(0x3008, 1);
+        assert_eq!(
+            copy.delta_from(&base)
+                .iter()
+                .map(|(p, _)| *p)
+                .collect::<Vec<_>>(),
+            vec![3]
+        );
+    }
+
+    #[test]
+    fn apply_page_on_a_shared_page_leaves_the_base_untouched() {
+        let mut base = Memory::new();
+        base.write_bytes(0x5000, &[1, 2, 3]);
+        base.clear_dirty();
+        let mut copy = base.clone();
+        let page = vec![0xab; PAGE_BYTES];
+        copy.apply_page(5, &page);
+        assert_eq!(base.read_bytes(0x5000, 3), vec![1, 2, 3]);
+        assert_eq!(copy.read_bytes(0x5000, 3), vec![0xab; 3]);
+        assert_eq!(copy.dirty_pages_sorted(), vec![5], "apply_page dirties");
+        assert!(base.dirty_pages_sorted().is_empty());
+        assert_eq!(copy.delta_from(&base), vec![(5, page)]);
     }
 }

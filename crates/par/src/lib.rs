@@ -18,13 +18,13 @@
 //!   (e.g. a design-space sweep's cells) can lose one cell and keep the
 //!   rest.
 //! * [`try_par_map_deadline`] — the watchdog map. Jobs own their inputs and
-//!   run on detachable threads under a per-job wall-clock deadline; a job
-//!   that exceeds it is abandoned (its thread detached, its [`CancelToken`]
-//!   raised so a cooperative job can stop burning CPU) and its slot becomes
-//!   `Err(`[`JobError::Timeout`]`)` — the map **always returns**, even when
-//!   a job wedges. An `on_result` hook runs on the caller's thread the
-//!   moment each slot resolves, so callers can commit results durably in
-//!   arrival order without waiting for the whole fleet.
+//!   run on detachable threads, each under its own optional wall-clock
+//!   deadline; a job that exceeds it is abandoned (its thread detached, its
+//!   [`CancelToken`] raised so a cooperative job can stop burning CPU) and
+//!   its slot becomes `Err(`[`JobError::Timeout`]`)` — the map **always
+//!   returns**, even when a job wedges. An `on_result` hook runs on the
+//!   caller's thread the moment each slot resolves, so callers can commit
+//!   results durably in arrival order without waiting for the whole fleet.
 //!
 //! Both the experiment harness (`reno-bench`, which fans workload ×
 //! configuration sweeps), the sampling engine (`reno-sample`, which fans
@@ -231,7 +231,8 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(5);
 
 /// Like [`try_par_map`], but with a watchdog: jobs **own** their inputs and
 /// run on plain (detachable) threads, at most [`thread_count`] concurrently,
-/// and each job gets the same optional wall-clock `deadline`. A job that
+/// and each job gets the optional wall-clock deadline `deadline(&item)`
+/// (read on the caller's thread just before the job starts). A job that
 /// exceeds it has its [`CancelToken`] raised, its thread detached, and its
 /// slot resolved to `Err(`[`JobError::Timeout`]`)` — so the map returns even
 /// when a job wedges in a loop that never polls the token.
@@ -242,9 +243,9 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(5);
 /// returned vector is in item order regardless. A detached job that finishes
 /// after its timeout was recorded is discarded — `on_result` fires exactly
 /// once per slot.
-pub fn try_par_map_deadline<T, R, F, C>(
+pub fn try_par_map_deadline<T, R, F, D, C>(
     items: Vec<T>,
-    deadline: Option<Duration>,
+    deadline: D,
     f: F,
     mut on_result: C,
 ) -> Vec<Result<R, JobError>>
@@ -252,6 +253,7 @@ where
     T: Send + 'static,
     R: Send + 'static,
     F: Fn(T, &CancelToken) -> R + Send + Sync + 'static,
+    D: Fn(&T) -> Option<Duration>,
     C: FnMut(usize, &Result<R, JobError>),
 {
     let n = items.len();
@@ -265,16 +267,22 @@ where
     let mut next_idx = 0usize;
     let mut results: Vec<Option<Result<R, JobError>>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
-    // idx -> (start time, cancel flag, join handle). Dropping the handle
-    // detaches the thread — that is exactly the abandon semantics.
-    let mut in_flight: HashMap<usize, (Instant, Arc<AtomicBool>, std::thread::JoinHandle<()>)> =
-        HashMap::new();
+    // idx -> (start time, deadline, cancel flag, join handle). Dropping the
+    // handle detaches the thread — that is exactly the abandon semantics.
+    type InFlight = (
+        Instant,
+        Option<Duration>,
+        Arc<AtomicBool>,
+        std::thread::JoinHandle<()>,
+    );
+    let mut in_flight: HashMap<usize, InFlight> = HashMap::new();
     let mut completed = 0usize;
     while completed < n {
         while in_flight.len() < workers {
             let Some(item) = queue.next() else { break };
             let idx = next_idx;
             next_idx += 1;
+            let limit = deadline(&item);
             let cancel = Arc::new(AtomicBool::new(false));
             let token = CancelToken {
                 flag: Arc::clone(&cancel),
@@ -290,9 +298,9 @@ where
                     let _ = tx.send((idx, r.map_err(|p| JobPanic::from_payload(p.as_ref()))));
                 })
                 .expect("spawn watchdog job thread");
-            in_flight.insert(idx, (Instant::now(), cancel, handle));
+            in_flight.insert(idx, (Instant::now(), limit, cancel, handle));
         }
-        let recv = if deadline.is_some() {
+        let recv = if in_flight.values().any(|(_, limit, _, _)| limit.is_some()) {
             rx.recv_timeout(WATCHDOG_POLL)
         } else {
             rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
@@ -302,7 +310,7 @@ where
                 // Only honor results for jobs still in flight: a detached
                 // (timed-out) job's late result must not overwrite the
                 // recorded timeout or fire on_result twice.
-                if let Some((_, _, handle)) = in_flight.remove(&idx) {
+                if let Some((_, _, _, handle)) = in_flight.remove(&idx) {
                     let _ = handle.join();
                     let slot = res.map_err(JobError::Panic);
                     on_result(idx, &slot);
@@ -315,23 +323,22 @@ where
                 unreachable!("the pool holds a sender for the job channel")
             }
         }
-        if let Some(limit) = deadline {
-            let expired: Vec<usize> = in_flight
-                .iter()
-                .filter(|(_, (start, _, _))| start.elapsed() > limit)
-                .map(|(&idx, _)| idx)
-                .collect();
-            for idx in expired {
-                let (_, cancel, handle) = in_flight.remove(&idx).expect("expired job in flight");
-                cancel.store(true, Ordering::Relaxed);
-                drop(handle); // detach: the wedged thread is abandoned
-                let slot = Err(JobError::Timeout {
-                    limit_ms: limit.as_millis() as u64,
-                });
-                on_result(idx, &slot);
-                results[idx] = Some(slot);
-                completed += 1;
-            }
+        let expired: Vec<(usize, Duration)> = in_flight
+            .iter()
+            .filter_map(|(&idx, (start, limit, _, _))| {
+                limit.filter(|l| start.elapsed() > *l).map(|l| (idx, l))
+            })
+            .collect();
+        for (idx, limit) in expired {
+            let (_, _, cancel, handle) = in_flight.remove(&idx).expect("expired job in flight");
+            cancel.store(true, Ordering::Relaxed);
+            drop(handle); // detach: the wedged thread is abandoned
+            let slot = Err(JobError::Timeout {
+                limit_ms: limit.as_millis() as u64,
+            });
+            on_result(idx, &slot);
+            results[idx] = Some(slot);
+            completed += 1;
         }
     }
     results
@@ -418,7 +425,7 @@ mod tests {
         let mut seen = Vec::new();
         let out = try_par_map_deadline(
             items.clone(),
-            None,
+            |_| None,
             |x, _ctx| x * 3,
             |idx, _r| seen.push(idx),
         );
@@ -439,7 +446,7 @@ mod tests {
         let items: Vec<u64> = (0..6).collect();
         let out = try_par_map_deadline(
             items,
-            Some(Duration::from_millis(60)),
+            |_| Some(Duration::from_millis(60)),
             |x, ctx| {
                 if x == 2 {
                     // Wedge cooperatively: spin until the watchdog raises
@@ -471,7 +478,7 @@ mod tests {
         let out = quietly(|| {
             try_par_map_deadline(
                 vec![0u8, 1, 2],
-                Some(Duration::from_secs(30)),
+                |_| Some(Duration::from_secs(30)),
                 |x, _ctx| {
                     if x == 1 {
                         panic!("boom at {x}");

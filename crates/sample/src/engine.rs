@@ -788,8 +788,7 @@ fn run_segment(
         reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
         let budget = (sc.head + DRAIN_PAD).min(sc.max_insts);
         let end = sc.head.min(budget);
-        let sim = Simulator::from_cpu(program, cfg.clone(), Cpu::new(program), budget)
-            .with_warm_state(warm)
+        let sim = Simulator::resume(program, cfg.clone(), Cpu::new(program), budget, warm)
             .with_measure_window(0, end);
         let (r, trained) = sim.run_with_state(INTERVAL_MAX_CYCLES);
         warm = trained;
@@ -833,8 +832,7 @@ fn run_segment(
         warm.mem.reset_timing();
         warm.mem.reset_stats();
         warm.frontend.reset_stats();
-        let sim = Simulator::from_cpu(program, cfg.clone(), cpu.clone(), budget)
-            .with_warm_state(warm)
+        let sim = Simulator::resume(program, cfg.clone(), cpu.clone(), budget, warm)
             .with_measure_window(start, end);
         let (r, trained) = sim.run_with_state(INTERVAL_MAX_CYCLES);
         warm = trained;

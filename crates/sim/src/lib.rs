@@ -55,7 +55,7 @@
 //! The checkpointed-sampling subsystem (`reno-sample`) drives the pipeline
 //! through three hooks, each a strict generalization of the normal entry
 //! points: [`Simulator::from_cpu`] resumes from any architectural state (a
-//! restored `reno_func::Checkpoint`), [`Simulator::with_warm_state`] /
+//! restored `reno_func::Checkpoint`), [`Simulator::resume`] /
 //! [`Simulator::run_with_state`] thread functionally warmed caches,
 //! predictors, and store-sets ([`WarmState`]) into and out of a run, and
 //! [`Simulator::with_measure_window`] snapshots every counter when chosen

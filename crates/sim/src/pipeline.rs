@@ -237,8 +237,8 @@ impl SeqSet {
 /// run: functional fast-forward warms it cheaply between measurement
 /// intervals ([`reno_mem::MemHierarchy::warm_data`],
 /// [`reno_uarch::FrontEnd::process`]), each detailed interval consumes it
-/// via [`Simulator::with_warm_state`] and returns the further-trained state
-/// from [`Simulator::run_with_state`].
+/// via [`Simulator::resume`] and returns the further-trained state from
+/// [`Simulator::run_with_state`].
 #[derive(Clone, Debug)]
 pub struct WarmState {
     /// Cache directory state (I$/D$/L2).
@@ -404,20 +404,41 @@ impl<'p> Simulator<'p> {
     }
 
     /// Builds a simulator that *resumes* from an existing architectural
-    /// state (e.g. a restored [`reno_func::Checkpoint`]): the oracle
-    /// continues from `cpu`'s current pc, and the initial physical-register
-    /// values mirror `cpu`'s architectural register file (the reset map
-    /// table maps logical register `r` to physical register `r`).
-    ///
-    /// Microarchitectural structures start cold; chain
-    /// [`Simulator::with_warm_state`] to inject functionally warmed state.
-    /// `fuel` caps the dynamic instructions fed from this point on.
+    /// state (e.g. a restored [`reno_func::Checkpoint`]) with cold
+    /// microarchitectural structures: [`Simulator::resume`] with
+    /// [`WarmState::cold`].
     pub fn from_cpu(
         program: &'p Program,
         cfg: MachineConfig,
         cpu: Cpu,
         fuel: u64,
     ) -> Simulator<'p> {
+        let warm = WarmState::cold(&cfg);
+        Simulator::resume(program, cfg, cpu, fuel, warm)
+    }
+
+    /// Builds a simulator that resumes from architectural state `cpu` with
+    /// caches, predictors and store-sets taken from `warm` (e.g. trained by
+    /// a sampling engine's functional warming): the oracle continues from
+    /// `cpu`'s current pc, and the initial physical-register values mirror
+    /// `cpu`'s architectural register file (the reset map table maps
+    /// logical register `r` to physical register `r`). `fuel` caps the
+    /// dynamic instructions fed from this point on.
+    pub fn resume(
+        program: &'p Program,
+        cfg: MachineConfig,
+        cpu: Cpu,
+        fuel: u64,
+        warm: WarmState,
+    ) -> Simulator<'p> {
+        let WarmState {
+            mut mem,
+            frontend,
+            storesets,
+        } = warm;
+        if cfg.trace {
+            mem.enable_trace();
+        }
         let total = cfg.reno.total_pregs;
         let mut pregs = vec![
             PregState {
@@ -452,10 +473,10 @@ impl<'p> Simulator<'p> {
             0,
         ));
         Simulator {
-            frontend: FrontEnd::new(cfg.bpred, cfg.btb, cfg.ras_entries),
+            frontend,
             reno: Reno::new(cfg.reno),
-            mem: MemHierarchy::new(cfg.hier),
-            storesets: StoreSets::new(cfg.storesets),
+            mem,
+            storesets,
             oracle: Oracle::from_cpu(cpu, program, fuel),
             oracle_done: false,
             replay: VecDeque::new(),
@@ -513,16 +534,6 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Replaces the cold microarchitectural structures with pre-warmed ones
-    /// (see [`WarmState`]). Call before [`Simulator::run`].
-    #[must_use]
-    pub fn with_warm_state(mut self, warm: WarmState) -> Simulator<'p> {
-        self.mem = warm.mem;
-        self.frontend = warm.frontend;
-        self.storesets = warm.storesets;
-        self
-    }
-
     /// Requests counter snapshots when `start` and `end` instructions (from
     /// this simulator's own starting point) have retired; the pair is
     /// reported in [`SimResult::mark_start`] / [`SimResult::mark_end`] and
@@ -560,12 +571,6 @@ impl<'p> Simulator<'p> {
     ///
     /// Panics if the pipeline deadlocks (an internal invariant violation).
     pub fn run_with_state(mut self, max_cycles: u64) -> (SimResult, WarmState) {
-        if self.trace.is_some() {
-            // Arm the hierarchy's memory-track sink here rather than at
-            // construction: `with_warm_state` may have swapped in a warmed
-            // (un-armed) hierarchy after the constructor ran.
-            self.mem.enable_trace();
-        }
         let naive = self.cfg.naive_sched;
         let mut last_progress = (0u64, 0u64);
         while !self.finished() && self.cycle < max_cycles {
