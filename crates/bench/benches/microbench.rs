@@ -241,7 +241,7 @@ fn bench_oracle_feed(c: &mut Criterion) {
 }
 
 /// The per-segment setup cost of a shard-parallel sampled run: deserialize
-/// + restore a dirty-page checkpoint, then rebuild warm state by replaying
+/// and restore a dirty-page checkpoint, then rebuild warm state by replaying
 /// 2k instructions of functional warming from the segment head.
 fn bench_segment_restore(c: &mut Criterion) {
     let p = func_kernel(4000);

@@ -157,7 +157,7 @@ fn entry_from_obj(obj: &FlatObj, i: usize) -> Result<Entry, String> {
         let parsed: f64 = v
             .parse()
             .map_err(|_| format!("entry {i} ({label}): '{key}' not numeric"))?;
-        if !(parsed > 0.0) {
+        if parsed.is_nan() || parsed <= 0.0 {
             return Err(format!("entry {i} ({label}): '{key}' not positive"));
         }
         medians[c] = parsed;
@@ -182,7 +182,7 @@ fn entry_from_obj(obj: &FlatObj, i: usize) -> Result<Entry, String> {
                 .expect("presence checked")
                 .parse()
                 .map_err(|_| format!("entry {i} ({label}): '{key}' not numeric"))?;
-            if !(parsed > 0.0) {
+            if parsed.is_nan() || parsed <= 0.0 {
                 return Err(format!("entry {i} ({label}): '{key}' not positive"));
             }
             if parsed < medians[c] {
@@ -370,8 +370,8 @@ pub fn render(entries: &[Entry], verdicts: &[PairVerdict]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<22} {:>8} {:>4} {:>8} {:>12} {:>12} {:>12}  {}",
-        "label", "scale", "thr", "mode", "baseline", "cf_me", "reno", "vs prev"
+        "{:<22} {:>8} {:>4} {:>8} {:>12} {:>12} {:>12}  vs prev",
+        "label", "scale", "thr", "mode", "baseline", "cf_me", "reno"
     );
     let _ = writeln!(out, "{}", "-".repeat(96));
     for (i, e) in entries.iter().enumerate() {

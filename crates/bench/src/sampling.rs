@@ -117,7 +117,9 @@ impl SampleTiming {
     }
 }
 
-const CONFIGS: [(&str, fn() -> RenoConfig); 2] =
+type ConfigCtor = fn() -> RenoConfig;
+
+const CONFIGS: [(&str, ConfigCtor); 2] =
     [("BASE", RenoConfig::baseline), ("RENO", RenoConfig::reno)];
 
 fn panel_str(title: &str, rows: &[SampleComparison]) -> String {

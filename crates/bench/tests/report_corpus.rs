@@ -38,10 +38,7 @@ fn corrupt_header_lines_reject() {
     let err = validate("\"unit\":\"simulated_cycles_per_host_second\",\n\"entries\":[\n]}\n")
         .unwrap_err();
     assert!(err.contains("bad schema header"), "{err}");
-    let err = validate(&format!(
-        "{{\"schema\":\"reno-bench-snapshot-v1\",\n\"entries\":[\n]}}\n"
-    ))
-    .unwrap_err();
+    let err = validate("{\"schema\":\"reno-bench-snapshot-v1\",\n\"entries\":[\n]}\n").unwrap_err();
     assert!(err.contains("bad unit line"), "{err}");
 }
 

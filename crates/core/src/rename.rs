@@ -454,7 +454,7 @@ impl Reno {
 
             // RENO_CSE+RA: the integration test.
             if kind == RenamedKind::Issued && allow_integration && self.integration_applies(cls) {
-                if let Some(key) = self.it_key(&inst, &src_maps) {
+                if let Some(key) = self.it_key(&inst, src_maps) {
                     if let Some(out) = self.it.lookup(&key, &self.freelist) {
                         if depends_on_group_elim {
                             self.stats.cancelled_group_dep += 1;
@@ -513,7 +513,7 @@ impl Reno {
                 };
                 self.it.insert(key, data, &self.freelist);
             } else if self.integration_applies(cls) {
-                if let (Some(d), Some(key)) = (dst, self.it_key(&inst, &src_maps)) {
+                if let (Some(d), Some(key)) = (dst, self.it_key(&inst, src_maps)) {
                     self.it.insert(key, d.new, &self.freelist);
                     // Reverse entries for register-immediate additions let
                     // stack-pointer decrement/increment pairs collapse

@@ -165,6 +165,7 @@ fn recover(store: &Store, stats: &mut GcStats) -> io::Result<()> {
     // Fresh log for this run.
     let f = OpenOptions::new()
         .create(true)
+        .truncate(false)
         .write(true)
         .open(&log_path)?;
     f.set_len(0)?;

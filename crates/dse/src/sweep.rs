@@ -30,6 +30,14 @@
 //! (killed) run stays failed with its recorded outcome, without re-running,
 //! so the resumed report matches the uninterrupted one.
 //!
+//! ## Threads
+//!
+//! Cells fan out over at most `RENO_THREADS` watchdog job threads (see
+//! [`reno_par::thread_count`]). `reno-par` pools do not nest, so a sampled
+//! cell runs its segment fan-out inline on its own cell thread: a sweep
+//! never holds more simulation threads than the budget. Results do not
+//! depend on this, since segmentation never depends on the worker count.
+//!
 //! ## Concurrency
 //!
 //! The journal is opened under its heartbeat lease
@@ -512,17 +520,23 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
         }
     }
 
-    let workloads = all_workloads(spec.scale);
-    let selected: Vec<&Workload> = spec
-        .workloads
-        .iter()
-        .map(|name| {
-            workloads
-                .iter()
-                .find(|w| w.name == *name)
-                .expect("spec parser validated workload names")
-        })
-        .collect();
+    // The selected workloads move into the `Arc`s the watchdog jobs share
+    // (a timed-out job's thread may outlive this call); `selected` borrows
+    // them in spec order. The unselected ones are dropped here.
+    let wl_arcs: Vec<Arc<Workload>> = {
+        let mut workloads = all_workloads(spec.scale);
+        spec.workloads
+            .iter()
+            .map(|name| {
+                let i = workloads
+                    .iter()
+                    .position(|w| w.name == *name)
+                    .expect("spec parser validated workload names (known, unique)");
+                Arc::new(workloads.swap_remove(i))
+            })
+            .collect()
+    };
+    let selected: Vec<&Workload> = wl_arcs.iter().map(|w| &**w).collect();
 
     let cells: Vec<Cell<'_>> = selected
         .iter()
@@ -627,7 +641,6 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
     // Owned job state for the watchdog pool: a timed-out job's thread may
     // outlive this call, so everything it touches is Arc-shared or cloned.
     let spec_arc = Arc::new(spec.clone());
-    let wl_arcs: Vec<Arc<Workload>> = selected.iter().map(|w| Arc::new((*w).clone())).collect();
     let pass_arcs: Vec<Option<Arc<CheckpointPass>>> = if passes.is_empty() {
         vec![None; selected.len()]
     } else {
@@ -652,13 +665,13 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
             spec: Arc::clone(&spec_arc),
             workload: Arc::clone(&wl_arcs[cell.wl_idx]),
             cfg: cell.cfg.clone(),
-            sc: sc.clone(),
+            sc,
             pass: pass_arcs[cell.wl_idx].clone(),
             id: cell.id.clone(),
-            inject_panic: opts.panic_always.iter().any(|c| *c == cell.id)
-                || (first && opts.panic_first_attempt.iter().any(|c| *c == cell.id)),
-            inject_stall: opts.stall_always.iter().any(|c| *c == cell.id)
-                || (first && opts.stall_first_attempt.iter().any(|c| *c == cell.id)),
+            inject_panic: opts.panic_always.contains(&cell.id)
+                || (first && opts.panic_first_attempt.contains(&cell.id)),
+            inject_stall: opts.stall_always.contains(&cell.id)
+                || (first && opts.stall_first_attempt.contains(&cell.id)),
         }
     };
     let job_fn = |job: CellJob, ctx: &CancelToken| -> CellResult {

@@ -89,8 +89,8 @@ mod tests {
 
     #[test]
     fn address_space_layout_is_disjoint() {
-        assert!(TEXT_BASE < DATA_BASE);
-        assert!(DATA_BASE < HEAP_BASE);
-        assert!(HEAP_BASE < STACK_TOP);
+        const _: () = assert!(TEXT_BASE < DATA_BASE);
+        const _: () = assert!(DATA_BASE < HEAP_BASE);
+        const _: () = assert!(HEAP_BASE < STACK_TOP);
     }
 }

@@ -99,7 +99,7 @@ pub struct MemHierarchy {
     /// every hot path to a single `Option` check; the simulator arms it via
     /// [`MemHierarchy::enable_trace`] when `MachineConfig::trace` is on and
     /// drains it into the [`reno_trace::PipelineTrace`] once per cycle.
-    trace_buf: Option<Box<Vec<SysEvent>>>,
+    trace_buf: Option<Vec<SysEvent>>,
 }
 
 impl MemHierarchy {
@@ -121,7 +121,7 @@ impl MemHierarchy {
     /// already-armed hierarchy keeps its buffered events.
     pub fn enable_trace(&mut self) {
         if self.trace_buf.is_none() {
-            self.trace_buf = Some(Box::default());
+            self.trace_buf = Some(Vec::new());
         }
     }
 
@@ -169,7 +169,7 @@ impl MemHierarchy {
     /// other parts of `self`.
     fn retire_completed(
         inflight: &mut Vec<(u64, u64)>,
-        trace_buf: &mut Option<Box<Vec<SysEvent>>>,
+        trace_buf: &mut Option<Vec<SysEvent>>,
         now: u64,
     ) {
         inflight.retain(|&(_, done)| {

@@ -11,8 +11,7 @@ proptest! {
     fn latency_lower_bounds(addrs in prop::collection::vec(0u64..(1 << 24), 1..200)) {
         let cfg = HierarchyConfig::default();
         let mut m = MemHierarchy::new(cfg);
-        let mut now = 0u64;
-        for a in addrs {
+        for (now, a) in (0u64..).zip(addrs) {
             let (done, by) = m.access_data(a, now, false);
             prop_assert!(done >= now + cfg.l1d.hit_latency);
             match by {
@@ -22,7 +21,6 @@ proptest! {
                     done >= now + cfg.l1d.hit_latency + cfg.l2.hit_latency + cfg.mem_latency
                 ),
             }
-            now += 1;
         }
     }
 

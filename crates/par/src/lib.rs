@@ -32,8 +32,25 @@
 //! (`reno-dse`, which fans sweep cells and must survive a panicking or
 //! wedged cell) are built on it; it lives in its own crate so they can
 //! share it without a dependency cycle.
+//!
+//! ## Thread budget
+//!
+//! At most [`thread_count`] threads run jobs at once, **the caller
+//! included**: [`par_map`] and [`try_par_map`] spawn `thread_count() - 1`
+//! helpers and the calling thread works the same queue;
+//! [`try_par_map_deadline`] runs at most `thread_count()` job threads while
+//! its caller only supervises (a timed-out job abandoned on its detached
+//! thread no longer counts). Maps do not nest: while a thread runs jobs
+//! of a multi-thread map or a deadline job, [`thread_count`] returns 1
+//! there, so a map called from inside a job (e.g. a sampled run's segment
+//! fan-out inside a sweep cell) runs inline on that job's thread. A
+//! [`par_map`] or [`try_par_map`] with a single worker runs on the caller
+//! alone and leaves it unmarked, so a map nested in it may still use the
+//! whole budget. The budget is tight on purpose: every concurrently live
+//! thread gets its own malloc arena, which keeps its freed memory.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -41,9 +58,28 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Worker threads for [`par_map`]: the `RENO_THREADS` override if set
+thread_local! {
+    /// Set while this thread runs pool jobs; maps started here run inline.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with this thread marked as a job thread, restoring the previous
+/// mark afterwards (jobs run under `catch_unwind`, so `f` returns normally).
+fn as_job<R>(f: impl FnOnce() -> R) -> R {
+    let prev = IN_JOB.with(|m| m.replace(true));
+    let r = f();
+    IN_JOB.with(|m| m.set(prev));
+    r
+}
+
+/// Threads a map started on this thread may run jobs on, the caller
+/// included: 1 on a thread running jobs of a multi-thread map or a deadline
+/// job (maps do not nest), otherwise the `RENO_THREADS` override if set
 /// (>= 1), otherwise the host's available parallelism.
 pub fn thread_count() -> usize {
+    if IN_JOB.with(Cell::get) {
+        return 1;
+    }
     if let Ok(v) = std::env::var("RENO_THREADS") {
         if let Ok(n) = v.parse::<usize>() {
             return n.max(1);
@@ -84,9 +120,11 @@ impl std::error::Error for JobPanic {}
 
 type Caught<R> = Result<R, Box<dyn Any + Send>>;
 
-/// The shared pool loop: every job runs under `catch_unwind`, so one
-/// panicking job can never tear down a worker thread (which would abort the
-/// whole `thread::scope`) or leave later items unprocessed.
+/// The shared pool loop: the caller and `workers - 1` scoped helpers pull
+/// items off one atomic cursor, all marked as job threads. Every job runs
+/// under `catch_unwind`, so one panicking job can never tear down a worker
+/// thread (which would abort the whole `thread::scope`) or leave later
+/// items unprocessed.
 fn pool_run<T, R, F>(items: &[T], f: F) -> Vec<Caught<R>>
 where
     T: Sync,
@@ -95,6 +133,8 @@ where
 {
     let workers = thread_count().min(items.len());
     if workers <= 1 {
+        // The caller is the only thread, so it stays unmarked: a map nested
+        // in a lone job may still use the whole budget.
         return items
             .iter()
             .map(|it| catch_unwind(AssertUnwindSafe(|| f(it))))
@@ -102,17 +142,21 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Caught<R>>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let work = || {
+        as_job(|| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            let r = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
+            *slots[i].lock().expect("result slot poisoned") = Some(r);
+        })
+    };
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
+        for _ in 1..workers {
+            s.spawn(work);
         }
+        work();
     });
     slots
         .into_iter()
@@ -125,8 +169,8 @@ where
 }
 
 /// Applies `f` to every item, fanning the work across [`thread_count`]
-/// scoped threads. Results are returned in item order, so callers produce
-/// identical output whether this runs on 1 core or 64.
+/// threads, the caller included. Results are returned in item order, so
+/// callers produce identical output whether this runs on 1 core or 64.
 ///
 /// # Panics
 ///
@@ -292,7 +336,7 @@ where
             let handle = std::thread::Builder::new()
                 .name(format!("reno-par-job-{idx}"))
                 .spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(|| f(item, &token)));
+                    let r = as_job(|| catch_unwind(AssertUnwindSafe(|| f(item, &token))));
                     // The receiver may already have abandoned this job; a
                     // closed channel is fine, the result is simply dropped.
                     let _ = tx.send((idx, r.map_err(|p| JobPanic::from_payload(p.as_ref()))));
@@ -525,5 +569,152 @@ mod tests {
             38,
             "every non-panicking job still ran"
         );
+    }
+
+    /// Holds each of the first `n` jobs to reach it until all `n` have, so
+    /// they must be running on `n` distinct threads at once. The cap turns a
+    /// pool with fewer threads into a failed assertion instead of a hang.
+    fn rendezvous(arrived: &AtomicUsize, n: usize) {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let t0 = Instant::now();
+        while arrived.load(Ordering::SeqCst) < n && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn maps_nested_in_a_par_map_job_run_on_the_job_thread() {
+        let outer: Vec<u64> = (0..16).collect();
+        let inner: Vec<u64> = (0..8).collect();
+        par_map(&outer, |_| {
+            let me = std::thread::current().id();
+            assert_eq!(thread_count(), 1, "a job thread has no budget to fan out");
+            let ids = par_map(&inner, |_| std::thread::current().id());
+            assert!(ids.iter().all(|id| *id == me));
+            for r in try_par_map(&inner, |_| std::thread::current().id()) {
+                assert_eq!(r.expect("clean inner job"), me);
+            }
+            assert_eq!(thread_count(), 1, "a nested map leaves the job marked");
+        });
+    }
+
+    #[test]
+    fn maps_nested_in_a_deadline_job_run_on_the_job_thread() {
+        let out = try_par_map_deadline(
+            (0..4u64).collect(),
+            |_| None,
+            |_, _ctx| {
+                let inner: Vec<u64> = (0..8).collect();
+                let nested = par_map(&inner, |_| std::thread::current().id());
+                let tried = try_par_map(&inner, |_| std::thread::current().id());
+                (std::thread::current().id(), thread_count(), nested, tried)
+            },
+            |_idx, _r| {},
+        );
+        for r in out {
+            let (me, budget, nested, tried) = r.expect("clean job");
+            assert_eq!(budget, 1);
+            assert!(nested.iter().all(|id| *id == me));
+            assert!(tried.into_iter().all(|r| r.expect("clean inner job") == me));
+        }
+    }
+
+    #[test]
+    fn top_level_map_runs_on_at_most_thread_count_threads_caller_included() {
+        let budget = thread_count();
+        let caller = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..3 * budget + 1).collect();
+        let ids = par_map(&items, |&i| {
+            if i < budget {
+                rendezvous(&arrived, budget);
+            }
+            std::thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert!(
+            distinct.len() <= budget,
+            "{} threads > budget {budget}",
+            distinct.len()
+        );
+        if budget > 1 {
+            assert!(distinct.contains(&caller), "the caller works the queue too");
+        }
+        assert_eq!(thread_count(), budget, "the caller is unmarked afterwards");
+    }
+
+    #[test]
+    fn caller_is_unmarked_after_every_kind_of_map() {
+        let before = thread_count();
+        let items: Vec<u64> = (0..32).collect();
+        par_map(&items, |x| x + 1);
+        assert_eq!(thread_count(), before);
+        let _ = try_par_map(&items, |x| x + 1);
+        assert_eq!(thread_count(), before);
+        let _ = try_par_map_deadline(items.clone(), |_| None, |x, _| x, |_, _| {});
+        assert_eq!(thread_count(), before);
+        let raised =
+            quietly(|| catch_unwind(|| par_map(&items, |_| -> u64 { panic!("all fail") })));
+        assert!(raised.is_err());
+        assert_eq!(thread_count(), before);
+    }
+
+    #[test]
+    fn a_panic_on_the_callers_thread_is_isolated_and_reraised_by_index() {
+        let budget = thread_count();
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..4 * budget).collect();
+        // Every job the caller runs panics; the rendezvous makes sure it
+        // runs at least one.
+        let job = |arrived: &AtomicUsize, i: usize| {
+            if i < budget {
+                rendezvous(arrived, budget);
+            }
+            if std::thread::current().id() == caller {
+                panic!("item {i} failed");
+            }
+            i
+        };
+
+        let arrived = AtomicUsize::new(0);
+        let out = quietly(|| try_par_map(&items, |&i| job(&arrived, i)));
+        let failed: Vec<usize> = (0..items.len()).filter(|&i| out[i].is_err()).collect();
+        assert!(!failed.is_empty(), "the caller ran a job");
+        for (i, r) in out.iter().enumerate() {
+            match r {
+                Ok(v) => assert_eq!(*v, i),
+                Err(p) => assert_eq!(p.message, format!("item {i} failed")),
+            }
+        }
+
+        let arrived = AtomicUsize::new(0);
+        let done = AtomicUsize::new(0);
+        let panicked = Mutex::new(Vec::new());
+        let caught = quietly(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                par_map(&items, |&i| {
+                    let r = catch_unwind(AssertUnwindSafe(|| job(&arrived, i)));
+                    match r {
+                        Ok(v) => {
+                            done.fetch_add(1, Ordering::SeqCst);
+                            v
+                        }
+                        Err(p) => {
+                            panicked.lock().expect("test log").push(i);
+                            resume_unwind(p)
+                        }
+                    }
+                })
+            }))
+        });
+        let panicked = panicked.into_inner().expect("test log");
+        let lowest = *panicked.iter().min().expect("the caller ran a job");
+        let payload = caught.expect_err("par_map re-raises");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(format!("item {lowest} failed").as_str())
+        );
+        assert_eq!(done.load(Ordering::SeqCst) + panicked.len(), items.len());
+        assert_eq!(thread_count(), budget);
     }
 }

@@ -660,12 +660,13 @@ fn functional_pass(program: &Program, sc: &SampleConfig, period: u64) -> Checkpo
 
 /// One checkpoint-delimited segment of a sampled run — an independent,
 /// deterministic job for the worker pool.
-struct SegmentJob {
+struct SegmentJob<'a> {
     index: u64,
-    /// Serialized checkpoint to resume from (`None` = fresh machine,
-    /// segment 0 only). Workers deserialize and restore, so every segment
-    /// exercises the full checkpoint save/restore path.
-    ck: Option<Vec<u8>>,
+    /// Serialized checkpoint to resume from, borrowed from the phase-1
+    /// pass (`None` = fresh machine, segment 0 only). Workers deserialize
+    /// and restore, so every segment exercises the full checkpoint
+    /// save/restore path.
+    ck: Option<&'a [u8]>,
     /// Dynamic-instruction position the worker starts at.
     start: u64,
     measure_head: bool,
@@ -689,7 +690,7 @@ struct SegmentOut {
     /// Per-window pipeline traces in program order (head window first),
     /// captured only when `MachineConfig::trace` is on. The merge rebases
     /// and concatenates them segment by segment.
-    traces: Vec<Box<PipelineTrace>>,
+    traces: Vec<PipelineTrace>,
     detailed_insts: u64,
     error: Option<ExecError>,
 }
@@ -740,16 +741,16 @@ fn run_segment(
     period: u64,
     base_mem: &Memory,
     total: u64,
-    job: &SegmentJob,
+    job: &SegmentJob<'_>,
 ) -> Result<SegmentOut, SampleError> {
     let grid_start = sc.head;
-    let mut cpu = match &job.ck {
+    let mut cpu = match job.ck {
         Some(bytes) => {
             // The chaos copy exists only while a spec is armed or recording
             // is on; the production path deserializes the shared bytes
             // directly.
             let parsed = if reno_chaos::enabled() {
-                let mut poisoned = bytes.clone();
+                let mut poisoned = bytes.to_vec();
                 reno_chaos::failpoint_bytes!(FP_SEGMENT_RESTORE, job.index, &mut poisoned);
                 Checkpoint::from_bytes(&poisoned)
             } else {
@@ -799,7 +800,7 @@ fn run_segment(
             }
         }
         if let Some(t) = r.trace {
-            out.traces.push(t);
+            out.traces.push(*t);
         }
         out.detailed_insts += r.retired;
         warmed_until = r.retired;
@@ -851,7 +852,7 @@ fn run_segment(
             }
         }
         if let Some(t) = r.trace {
-            out.traces.push(t);
+            out.traces.push(*t);
         }
         out.detailed_insts += r.retired;
         warmed_until = pos + r.retired;
@@ -916,7 +917,7 @@ fn exact_segment_fallback(
     period: u64,
     base_mem: &Memory,
     pass: &CheckpointPass,
-    job: &SegmentJob,
+    job: &SegmentJob<'_>,
 ) -> (SegmentOut, ExactSegment) {
     let grid_start = sc.head;
     let cover0 = if job.index == 0 {
@@ -1005,8 +1006,9 @@ fn ls_fit(xs: &[[f64; 4]], ys: &[f64]) -> Option<[f64; 4]> {
         b.swap(col, piv);
         for row in col + 1..4 {
             let f = a[row][col] / a[col][col];
-            for k in col..4 {
-                a[row][k] -= f * a[col][k];
+            let pivot = a[col];
+            for (x, p) in a[row][col..].iter_mut().zip(&pivot[col..]) {
+                *x -= f * p;
             }
             b[row] -= f * b[col];
         }
@@ -1340,7 +1342,7 @@ pub fn run_sampled_with_pass(
     // strata), whether or not it measures a window.
     let (seg_k, seg_m) = segment_shape(period);
     let seg_count = strata_total.div_ceil(seg_k).max(u64::from(measure_head));
-    let mut jobs: Vec<SegmentJob> = Vec::with_capacity(seg_count as usize);
+    let mut jobs: Vec<SegmentJob<'_>> = Vec::with_capacity(seg_count as usize);
     for j in 0..seg_count {
         let s_first = j * seg_k;
         let s_last = ((j + 1) * seg_k).min(strata_total);
@@ -1369,7 +1371,7 @@ pub fn run_sampled_with_pass(
                     got,
                 });
             }
-            (Some(bytes.clone()), expected)
+            (Some(bytes.as_slice()), expected)
         };
         jobs.push(SegmentJob {
             index: j,

@@ -94,8 +94,8 @@ fn chase_kernel() -> Program {
     let n = 8192usize;
     let mut ws = vec![0u64; n];
     let base = 0x0001_0000u64; // data segment base (see reno-isa docs)
-    for i in 0..n {
-        ws[i] = base + (((i + 4099) % n) as u64) * 8;
+    for (i, w) in ws.iter_mut().enumerate() {
+        *w = base + (((i + 4099) % n) as u64) * 8;
     }
     let buf = a.words("ring", &ws);
     a.li(Reg::S0, buf as i64);

@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn cycle_visits_every_node() {
         let next = cycle_permutation(7, 64);
-        let mut seen = vec![false; 64];
+        let mut seen = [false; 64];
         let mut cur = 0usize;
         for _ in 0..64 {
             assert!(!seen[cur], "premature cycle");

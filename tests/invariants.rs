@@ -79,10 +79,10 @@ fn assert_counts_match_live_state(reno: &Reno, inflight: &[Renamed]) {
             expect[d.old.preg.index()] += 1;
         }
     }
-    for p in 0..fl.total() {
+    for (p, &want) in expect.iter().enumerate() {
         assert_eq!(
             fl.count(PhysReg(p as u16)),
-            expect[p],
+            want,
             "refcount mismatch on p{p}"
         );
     }
