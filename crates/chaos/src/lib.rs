@@ -5,7 +5,7 @@
 //! `reno-dse`'s store/journal/lease/lock writes and `reno-sample`'s
 //! checkpointing, restore, warm-replay, and measure-window paths all pass
 //! through **named injection points**, so one harness can enumerate every
-//! registered site and kill (or corrupt, or delay) a run at each of them.
+//! registered site and kill (or corrupt) a run at each of them.
 //!
 //! # Arming a failpoint
 //!
@@ -14,7 +14,11 @@
 //! ```
 //!
 //! * `site` — the injection point's registered name (e.g.
-//!   `dse:store-object`, `sample:segment-restore`).
+//!   `dse:store-object`, `sample:segment-restore`), or `*`: every IO-site
+//!   hit ([`write_all`], any site) counts toward the ordinal, and no other
+//!   hit does. `RENO_FAILPOINT=*:<n>:half-write` therefore tears the n-th
+//!   durable write of the process, whichever site it belongs to — the
+//!   kill-at-every-IO-point loops of the `reno-dse` crash-resume suite.
 //! * `@<ctx>` — optional context filter: only hits whose context value
 //!   (e.g. the segment index) equals `ctx` count toward the ordinal.
 //!   Context-qualified specs are **schedule-independent**: a given
@@ -25,15 +29,9 @@
 //!   persistent faults like a corrupt checkpoint that must also defeat the
 //!   retry).
 //! * `<mode>` — one of `half-write` | `flush` | `abort` | `panic` |
-//!   `delay` | `corrupt` (default `abort`). IO sites honor all six;
-//!   plain sites treat `half-write`/`flush` as `abort` and ignore
-//!   `corrupt` (nothing to corrupt); byte-buffer sites flip one byte on
-//!   `corrupt`.
-//!
-//! The legacy `RENO_DSE_FAILPOINT=abort-at-io:<n>` variable is honored
-//! verbatim: the n-th [`write_all`] call of the process (any site) writes
-//! half its bytes, flushes, and aborts — exactly the behavior the
-//! `reno-dse` crash-resume suite was built on.
+//!   `corrupt` (default `abort`). IO sites honor all five; plain sites
+//!   treat `half-write`/`flush` as `abort` and ignore `corrupt` (nothing
+//!   to corrupt); byte-buffer sites flip one byte on `corrupt`.
 //!
 //! # Instrumenting code
 //!
@@ -59,13 +57,14 @@
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// The environment variable arming one named failpoint.
 pub const ENV_FAILPOINT: &str = "RENO_FAILPOINT";
-/// The legacy `reno-dse` variable (`abort-at-io:<n>`), honored verbatim.
-pub const ENV_DSE_COMPAT: &str = "RENO_DSE_FAILPOINT";
+/// The site name that matches every IO-site hit ([`write_all`]) and
+/// nothing else.
+const ANY_IO_SITE: &str = "*";
 
 /// What an armed failpoint does on the hit it targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,8 +81,6 @@ pub enum FailMode {
     Flush,
     /// Panic with a deterministic message (exercises unwind isolation).
     Panic,
-    /// Sleep 25ms, then proceed normally (exercises watchdog paths).
-    Delay,
     /// Byte-buffer sites: flip the first byte of the buffer (xor `0xA5`
     /// — the header/magic region validation always checks) and proceed.
     /// IO sites write the corrupted frame. Plain sites ignore it.
@@ -97,7 +94,6 @@ impl FailMode {
             "half-write" => FailMode::HalfWrite,
             "flush" => FailMode::Flush,
             "panic" => FailMode::Panic,
-            "delay" => FailMode::Delay,
             "corrupt" => FailMode::Corrupt,
             _ => return None,
         })
@@ -241,12 +237,18 @@ pub fn enabled() -> bool {
 }
 
 /// Counts one hit of `(site, ctx)` and decides whether the armed spec
-/// fires on it. The lock is released before any action is taken.
-fn note_hit(site: &'static str, ctx: u64) -> Option<FailMode> {
+/// fires on it; `io` marks a [`write_all`] hit, which `*` also matches.
+/// The lock is released before any action is taken.
+fn note_hit(site: &'static str, ctx: u64, io: bool) -> Option<FailMode> {
     let mut st = state();
     *st.counts.entry((site, ctx)).or_insert(0) += 1;
     let armed = st.armed.as_mut()?;
-    if armed.spec.site != site || armed.spec.ctx.is_some_and(|c| c != ctx) {
+    let site_matches = if armed.spec.site == ANY_IO_SITE {
+        io
+    } else {
+        armed.spec.site == site
+    };
+    if !site_matches || armed.spec.ctx.is_some_and(|c| c != ctx) {
         return None;
     }
     armed.matched += 1;
@@ -257,7 +259,6 @@ fn note_hit(site: &'static str, ctx: u64) -> Option<FailMode> {
 fn perform(mode: FailMode, site: &'static str, ctx: u64) {
     match mode {
         FailMode::Panic => panic!("chaos: injected panic at {site}@{ctx}"),
-        FailMode::Delay => std::thread::sleep(std::time::Duration::from_millis(25)),
         FailMode::Corrupt => {} // nothing to corrupt at a plain site
         FailMode::Abort | FailMode::HalfWrite | FailMode::Flush => {
             eprintln!("chaos: aborting at {site}@{ctx}");
@@ -271,7 +272,7 @@ fn perform(mode: FailMode, site: &'static str, ctx: u64) {
 /// zero-cost-when-off gate.
 #[doc(hidden)]
 pub fn fire(site: &'static str, ctx: u64) {
-    if let Some(mode) = note_hit(site, ctx) {
+    if let Some(mode) = note_hit(site, ctx, false) {
         perform(mode, site, ctx);
     }
 }
@@ -284,7 +285,7 @@ pub fn fire(site: &'static str, ctx: u64) {
 /// [`failpoint_bytes!`] macro.
 #[doc(hidden)]
 pub fn fire_bytes(site: &'static str, ctx: u64, bytes: &mut [u8]) {
-    if let Some(mode) = note_hit(site, ctx) {
+    if let Some(mode) = note_hit(site, ctx, false) {
         match mode {
             FailMode::Corrupt => {
                 if let Some(b) = bytes.first_mut() {
@@ -328,28 +329,6 @@ macro_rules! failpoint_bytes {
 // IO sites.
 // ---------------------------------------------------------------------------
 
-/// `RENO_DSE_FAILPOINT=abort-at-io:<n>` makes the n-th [`write_all`] call
-/// of the process die *mid-write*: half the bytes are written and flushed,
-/// then the process `abort()`s (the closest in-process stand-in for
-/// `kill -9` between two write syscalls). Parsed once, counted globally —
-/// the exact semantics the `reno-dse` crash-resume suite pins.
-fn legacy_countdown() -> Option<&'static AtomicU64> {
-    static FP: OnceLock<Option<AtomicU64>> = OnceLock::new();
-    FP.get_or_init(|| {
-        let v = std::env::var(ENV_DSE_COMPAT).ok()?;
-        let n = v.strip_prefix("abort-at-io:")?.parse::<u64>().ok()?;
-        Some(AtomicU64::new(n))
-    })
-    .as_ref()
-}
-
-fn legacy_fires() -> bool {
-    match legacy_countdown() {
-        Some(c) => c.fetch_sub(1, Ordering::Relaxed) == 1,
-        None => false,
-    }
-}
-
 fn torn_write_abort(file: &mut File, bytes: &[u8]) -> ! {
     let _ = file.write_all(&bytes[..bytes.len() / 2]);
     let _ = file.flush();
@@ -357,17 +336,14 @@ fn torn_write_abort(file: &mut File, bytes: &[u8]) -> ! {
     std::process::abort();
 }
 
-/// Writes `bytes` to `file` through the failpoint engine. An IO-class hit
-/// counts toward both the named site's counter and the legacy global
-/// `abort-at-io` countdown; whichever is armed decides the outcome.
+/// Writes `bytes` to `file` through the failpoint engine. The hit counts
+/// toward the named site and toward the `*` site; the armed spec decides
+/// the outcome.
 pub fn write_all(site: &'static str, file: &mut File, bytes: &[u8]) -> io::Result<()> {
-    if legacy_fires() {
-        torn_write_abort(file, bytes);
-    }
     if !enabled() {
         return file.write_all(bytes);
     }
-    match note_hit(site, 0) {
+    match note_hit(site, 0, true) {
         None => file.write_all(bytes),
         Some(FailMode::Abort) => {
             eprintln!("chaos: aborting before write at {site}");
@@ -381,10 +357,6 @@ pub fn write_all(site: &'static str, file: &mut File, bytes: &[u8]) -> io::Resul
             std::process::abort();
         }
         Some(FailMode::Panic) => panic!("chaos: injected panic at {site}"),
-        Some(FailMode::Delay) => {
-            std::thread::sleep(std::time::Duration::from_millis(25));
-            file.write_all(bytes)
-        }
         Some(FailMode::Corrupt) => {
             let mut copy = bytes.to_vec();
             if let Some(b) = copy.first_mut() {
@@ -488,8 +460,12 @@ mod tests {
                 mode: FailMode::Corrupt,
             }
         );
-        assert_eq!(ArmedSpec::parse("x:5:delay").unwrap().mode, FailMode::Delay);
         assert_eq!(ArmedSpec::parse("x:half-write").unwrap().nth, 1);
+        let any_io = ArmedSpec::parse("*:3:half-write").unwrap();
+        assert_eq!(
+            (any_io.site.as_str(), any_io.nth, any_io.mode),
+            (ANY_IO_SITE, 3, FailMode::HalfWrite)
+        );
         assert!(ArmedSpec::parse("").is_err());
         assert!(ArmedSpec::parse("@7:1").is_err());
         assert!(ArmedSpec::parse("x:0").is_err(), "ordinals are 1-based");
@@ -563,6 +539,25 @@ mod tests {
         failpoint_bytes!("test:ctxf", 2, &mut target);
         assert_eq!(target[0], 0xA5);
         disarm();
+    }
+
+    #[test]
+    fn any_io_site_counts_writes_at_every_site_and_nothing_else() {
+        let _g = lock();
+        let path = std::env::temp_dir().join(format!("reno-chaos-any-io-{}", std::process::id()));
+        let mut file = File::create(&path).unwrap();
+        arm("*:2:corrupt").unwrap();
+        failpoint!("test:plain"); // not an IO hit: never counts
+        let mut buf = vec![0u8; 3];
+        failpoint_bytes!("test:buf", 0, &mut buf);
+        assert_eq!(buf, vec![0u8; 3]);
+        write_all("test:io-a", &mut file, &[0, 0]).unwrap(); // IO hit 1
+        write_all("test:io-b", &mut file, &[0, 0]).unwrap(); // IO hit 2: fires
+        write_all("test:io-a", &mut file, &[0, 0]).unwrap();
+        disarm();
+        drop(file);
+        assert_eq!(std::fs::read(&path).unwrap(), vec![0, 0, 0xA5, 0, 0, 0]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

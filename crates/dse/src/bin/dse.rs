@@ -13,7 +13,7 @@
 //! stats. Exit status: 0 on success (even with failed cells — they are
 //! *in* the report), nonzero on unusable input or an unwritable store.
 //!
-//! `RENO_DSE_FAILPOINT=abort-at-io:<n>` (test hook) aborts the process
+//! `RENO_FAILPOINT=*:<n>:half-write` (test hook) aborts the process
 //! mid-way through its n-th store/journal/lock/GC write, simulating
 //! `kill -9` at the worst possible moment; a subsequent run with the same
 //! arguments resumes and must produce the identical report.

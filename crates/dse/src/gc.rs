@@ -37,8 +37,9 @@
 //! unlink). A tombstone can therefore never belong to a live object, and
 //! recovery never consults anything but the log and the tombstones — a
 //! mid-GC crash cannot delete an object it didn't first journal. All log
-//! appends and the recovery path go through the `RENO_DSE_FAILPOINT` hook,
-//! so the crash-resume suite kills GC at every IO point.
+//! appends and the recovery path go through `reno_chaos::write_all`, so the
+//! crash-resume suite kills GC at every IO point
+//! (`RENO_FAILPOINT=*:<n>:half-write`).
 
 use crate::journal::sealed_line;
 use crate::lock;

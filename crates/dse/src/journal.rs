@@ -57,7 +57,7 @@ pub enum JournalEvent {
     Done { key: u64 },
     /// The cell failed (after its retry); `message` is the panic/error text.
     Fail { key: u64, message: String },
-    /// The cell exceeded its watchdog deadline (after its retry).
+    /// The cell was over its cycle budget (after its retry).
     Timeout { key: u64 },
     /// A checkpoint pass this sweep depends on (GC liveness pin; not a
     /// cell outcome).

@@ -10,8 +10,8 @@
 //! |---------|----------|
 //! | corrupt store entry | checksum validation rejects it: quarantined, logged, recomputed — never trusted, never a panic |
 //! | process killed (any point, incl. mid-write) | atomic writes + append-only journal: resume serves completed cells from cache, recomputes the rest; the resumed report is **byte-identical** to an uninterrupted run |
-//! | panicking cell | caught per-job ([`reno_par::try_par_map_deadline`]), retried once, then quarantined into the report's failed-cells section while the rest of the sweep completes |
-//! | wedged cell | the watchdog deadline abandons it on a detached thread, retries once, then journals `timeout` and reports it as failed — sweeps always terminate |
+//! | panicking cell | caught per-job ([`reno_par::try_par_map`]), retried once, then quarantined into the report's failed-cells section while the rest of the sweep completes |
+//! | cell over its cycle budget | a full-mode cell that stops at its cycle cap before it halts or retires its `fuel` is retried once, then journaled as `timeout` and reported as failed — deterministic, independent of host speed |
 //! | disk full / write error | logged; the sweep degrades to cache-less operation for that entry and still completes |
 //! | concurrent writer, same cell | advisory per-object lock: one writer commits, the other skips (identical content-addressed bytes either way) |
 //! | concurrent writer, same sweep | journal heartbeat lease: wait with capped backoff, take over if stale, or degrade to read-only — never corrupt, same report bytes |

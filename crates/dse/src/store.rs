@@ -197,10 +197,10 @@ pub fn decode_entry(bytes: &[u8], kind: EntryKind, key: u64) -> Result<Vec<u8>, 
     Ok(payload.to_vec())
 }
 
-// Crash injection lives in `reno-chaos` now: every durable write below goes
-// through `reno_chaos::write_all` under a named site, which preserves the
-// legacy `RENO_DSE_FAILPOINT=abort-at-io:<n>` global IO countdown verbatim
-// and additionally honours per-site `RENO_FAILPOINT` specs.
+// Crash injection lives in `reno-chaos`: every durable write below goes
+// through `reno_chaos::write_all` under a named site, so `RENO_FAILPOINT`
+// can target one site or, as `*:<n>:half-write`, tear the n-th write of the
+// process at any site.
 
 // ---------------------------------------------------------------------------
 // The store proper.

@@ -1,7 +1,7 @@
 //! The sweep driver: plans the cell grid, resumes from the journal, reuses
-//! checkpoint passes across configs, fans cells over `reno-par` under a
-//! watchdog deadline with panic isolation, and renders a deterministic
-//! report.
+//! checkpoint passes across configs, fans cells over `reno-par` with panic
+//! isolation under a deterministic cycle budget, and renders a
+//! deterministic report.
 //!
 //! ## Determinism contract
 //!
@@ -19,24 +19,30 @@
 //!
 //! ## Failure handling
 //!
-//! A panicking cell is caught by [`reno_par::try_par_map_deadline`], retried
-//! once, and — if it panics again — recorded in the journal and reported in
-//! the `failed cells` section while every other cell completes. A cell that
-//! exceeds its watchdog deadline (fuel-derived, see [`SweepOptions`] and the
-//! `RENO_DSE_CELL_DEADLINE_MS` / `RENO_DSE_DEADLINE_MULT` env knobs) is
-//! abandoned on a detached thread and treated the same way: one retry, then
-//! a journaled `timeout` record and a deterministic failure line — sweeps
-//! always terminate. A cell that failed or timed out in a *previous*
-//! (killed) run stays failed with its recorded outcome, without re-running,
-//! so the resumed report matches the uninterrupted one.
+//! A panicking cell is caught by [`reno_par::try_par_map`], retried once,
+//! and — if it panics again — recorded in the journal and reported in the
+//! `failed cells` section while every other cell completes. Every cell is
+//! bounded by simulated work, never by the wall clock: a full-mode cell
+//! retires at most `fuel` instructions within a budget of `MAX_CYCLES`
+//! cycles, and a sampled cell bounds each detailed window by its own cycle
+//! cap. A full-mode cell that stops at its cycle cap before it halts or
+//! retires its fuel is **over budget** and takes the `timeout` path: one
+//! retry, then a journaled `timeout` record and a deterministic failure
+//! line. Whether a cell is over budget depends only on its content, so the
+//! report does not depend on host speed. A cell that failed or timed out in
+//! a *previous* (killed) run stays failed with its recorded outcome,
+//! without re-running, so the resumed report matches the uninterrupted one.
 //!
 //! ## Threads
 //!
-//! Cells fan out over at most `RENO_THREADS` watchdog job threads (see
-//! [`reno_par::thread_count`]). `reno-par` pools do not nest, so a sampled
-//! cell runs its segment fan-out inline on its own cell thread: a sweep
-//! never holds more simulation threads than the budget. Results do not
-//! depend on this, since segmentation never depends on the worker count.
+//! Cells fan out over [`reno_par::try_par_map`], so at most `RENO_THREADS`
+//! threads run cells, the caller included (see
+//! [`reno_par::thread_count`]). `reno-par` pools do not nest, so while
+//! several cells run at once a sampled cell runs its segment fan-out
+//! inline on its own cell thread, and a lone cell fans its segments over
+//! the budget itself: a sweep never holds more simulation threads than the
+//! budget. Results do not depend on this, since segmentation never depends
+//! on the worker count.
 //!
 //! ## Concurrency
 //!
@@ -46,38 +52,38 @@
 //! writes, every uncovered cell computed in memory — and the identical
 //! report. Store writes go through per-object advisory locks, so two
 //! processes racing the same cell do duplicate-compute-last-write-wins
-//! safely. Results are committed from the **caller's** thread as each cell
-//! finishes (via the pool's `on_result` hook), which is what makes the
-//! timeout path race-free: a `done` record can only be written for a cell
-//! the pool did not abandon.
+//! safely. Each cell commits from inside its own job the moment it
+//! finishes — store entry first, then its `done` record, with no other
+//! cell's commit in between — so a kill loses at most the cells still in
+//! flight. `fail` and `timeout` records are appended by the caller after
+//! the retry round, in plan order.
 
 use crate::journal::{Journal, JournalEvent};
 use crate::lock::LeaseConfig;
 use crate::spec::{Mode, SweepSpec};
 use crate::store::{fnv1a64, EntryKind, Store, StoreError};
-use reno_par::{try_par_map_deadline, CancelToken, JobError};
+use reno_par::{try_par_map, JobPanic};
 use reno_sample::{run_sampled_with_pass, CheckpointPass, SampleConfig};
 use reno_sim::{MachineConfig, Simulator};
 use reno_workloads::{all_workloads, Workload};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Mutex, PoisonError};
 
 /// Identifies the simulator revision in every cache key: bump whenever a
 /// change alters simulated timing or architectural results, so stale store
 /// entries become unreachable instead of wrong.
 pub const SIM_REV: &str = concat!("reno-sim-", env!("CARGO_PKG_VERSION"), "+dse1");
 
-/// Cycle cap per detailed simulation (safety net, same as `reno-bench`).
+/// Cycle budget per full-mode cell (same cap as `reno-bench`).
 const MAX_CYCLES: u64 = 1 << 28;
 
-/// The deterministic failure message for a cell that exceeded its watchdog
-/// deadline on both attempts. Deliberately carries no timing numbers: the
-/// report must be byte-identical between the run that timed out and the
-/// resumed run that replays the journaled `timeout` record.
-pub const TIMEOUT_MESSAGE: &str = "exceeded cell deadline (watchdog timeout)";
+/// The deterministic failure message for a cell that was over its cycle
+/// budget on both attempts. Deliberately carries no numbers: the report
+/// must be byte-identical between the run that timed out and the resumed
+/// run that replays the journaled `timeout` record.
+pub const TIMEOUT_MESSAGE: &str = "exceeded cell cycle budget";
 
 /// The numeric result of one cell, as cached and reported.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,18 +148,12 @@ pub struct SweepOptions {
     /// Cells that panic on the **first** attempt only (exercises
     /// retry-succeeds).
     pub panic_first_attempt: Vec<String>,
-    /// Cells that wedge (spin until cancelled) on **every** attempt
-    /// (exercises watchdog-timeout-then-journal).
+    /// Cells that are over budget on **every** attempt (exercises
+    /// timeout-then-journal).
     pub stall_always: Vec<String>,
-    /// Cells that wedge on the **first** attempt only (exercises
+    /// Cells that are over budget on the **first** attempt only (exercises
     /// timeout-retry-succeeds).
     pub stall_first_attempt: Vec<String>,
-    /// Watchdog deadline in milliseconds for the fault-injected attempts
-    /// (those the four lists above make panic or wedge). `None` gives them
-    /// the normal budget. Healthy attempts always get the normal budget:
-    /// `RENO_DSE_CELL_DEADLINE_MS`, else the fuel-derived default scaled by
-    /// `RENO_DSE_DEADLINE_MULT`.
-    pub deadline_ms: Option<u64>,
     /// Journal lease tuning override. `None` reads the environment
     /// ([`LeaseConfig::from_env`]); in-process tests inject directly
     /// because env mutation races under the threaded test runner.
@@ -184,7 +184,7 @@ pub struct SweepStats {
     /// 1 when this run broke a stale (crashed/expired-owner) lease to
     /// take over its journal.
     pub lease_takeovers: u64,
-    /// Cell attempts abandoned by the watchdog in this call.
+    /// Cell attempts that were over their cycle budget in this call.
     pub timeouts: u64,
     /// Objects evicted by GC in this invocation (filled by the `dse`
     /// binary when `--store-budget` triggers a sweep-side GC; 0 from
@@ -246,20 +246,6 @@ struct Cell<'a> {
     key: u64,
     /// `"<workload>/<label>"`, for fault injection and failure reports.
     id: String,
-}
-
-/// The owned, `'static` unit of work the watchdog pool fans out. Everything
-/// a cell needs travels with it (Arc-shared where heavy) because a
-/// timed-out job's thread may outlive the `run_sweep` call that spawned it.
-struct CellJob {
-    spec: Arc<SweepSpec>,
-    workload: Arc<Workload>,
-    cfg: MachineConfig,
-    sc: Option<SampleConfig>,
-    pass: Option<Arc<CheckpointPass>>,
-    id: String,
-    inject_panic: bool,
-    inject_stall: bool,
 }
 
 fn cell_key(spec: &SweepSpec, wl: &str, cfg: &MachineConfig) -> u64 {
@@ -377,70 +363,50 @@ fn sample_config(mode: &Mode) -> Option<SampleConfig> {
     }
 }
 
-/// The per-cell watchdog deadline: env override, or the fuel-derived
-/// default (full mode budgets generously against the slowest plausible
-/// host; sampled mode has no fuel, so a flat generous cap) scaled by
-/// `RENO_DSE_DEADLINE_MULT`.
-fn cell_deadline(spec: &SweepSpec) -> Duration {
-    if let Some(ms) = std::env::var("RENO_DSE_CELL_DEADLINE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        return Duration::from_millis(ms);
-    }
-    let mult = std::env::var("RENO_DSE_DEADLINE_MULT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|m| m.is_finite() && *m >= 0.001)
-        .unwrap_or(1.0);
-    let base_secs = match &spec.mode {
-        // Assume a pathologically slow host still retires 100k inst/s of
-        // detailed simulation; floor of 30s for tiny fuels.
-        Mode::Full => (spec.fuel / 100_000).max(30),
-        Mode::Sampled { .. } => 600,
-    };
-    Duration::from_secs_f64(base_secs as f64 * mult)
+/// Runs one full-mode cell under a budget of `max_cycles` cycles. `None`
+/// when the run is **over budget**: it stopped at the cap before it halted
+/// and before it retired its `fuel`.
+fn run_full(wl: &Workload, cfg: MachineConfig, fuel: u64, max_cycles: u64) -> Option<CellResult> {
+    let r = Simulator::with_fuel(&wl.program, cfg, fuel).run(max_cycles);
+    (r.halted || r.retired >= fuel).then_some(CellResult {
+        cycles: r.cycles,
+        retired: r.retired,
+        checksum: r.checksum,
+        halted: r.halted,
+    })
 }
 
 /// Computes one cell (no caching, no catching) — the unit of work the pool
-/// fans out. Sampled cells take the shared pass for their workload.
-fn simulate_cell(job: &CellJob) -> CellResult {
-    match (&job.sc, &job.pass) {
-        (Some(sc), Some(pass)) => {
-            let r = match run_sampled_with_pass(&job.workload.program, job.cfg.clone(), sc, pass) {
-                Ok(r) => r,
-                Err(e) => {
-                    // A mismatched pass should be impossible (the key pins
-                    // workload, scale and sampling shape); recompute from
-                    // scratch rather than fail the cell — correctness over
-                    // speed.
-                    eprintln!(
-                        "dse: pass for {} rejected ({e}); recomputing inline",
-                        job.id
-                    );
-                    let own = CheckpointPass::compute(&job.workload.program, sc);
-                    run_sampled_with_pass(&job.workload.program, job.cfg.clone(), sc, &own)
-                        .expect("a freshly-computed pass fits its own shape")
-                }
-            };
-            CellResult {
-                cycles: r.est_cycles(),
-                retired: r.total_insts,
-                checksum: r.checksum,
-                halted: r.halted,
-            }
+/// fans out. Sampled cells take the shared pass for their workload and are
+/// never over budget: each detailed window carries its own cycle cap.
+fn simulate_cell(
+    spec: &SweepSpec,
+    workload: &Workload,
+    cfg: &MachineConfig,
+    sampled: Option<(&SampleConfig, &CheckpointPass)>,
+    id: &str,
+) -> Option<CellResult> {
+    let Some((sc, pass)) = sampled else {
+        return run_full(workload, cfg.clone(), spec.fuel, MAX_CYCLES);
+    };
+    let r = match run_sampled_with_pass(&workload.program, cfg.clone(), sc, pass) {
+        Ok(r) => r,
+        Err(e) => {
+            // A mismatched pass should be impossible (the key pins
+            // workload, scale and sampling shape); recompute from scratch
+            // rather than fail the cell — correctness over speed.
+            eprintln!("dse: pass for {id} rejected ({e}); recomputing inline");
+            let own = CheckpointPass::compute(&workload.program, sc);
+            run_sampled_with_pass(&workload.program, cfg.clone(), sc, &own)
+                .expect("a freshly-computed pass fits its own shape")
         }
-        _ => {
-            let r = Simulator::with_fuel(&job.workload.program, job.cfg.clone(), job.spec.fuel)
-                .run(MAX_CYCLES);
-            CellResult {
-                cycles: r.cycles,
-                retired: r.retired,
-                checksum: r.checksum,
-                halted: r.halted,
-            }
-        }
-    }
+    };
+    Some(CellResult {
+        cycles: r.est_cycles(),
+        retired: r.total_insts,
+        checksum: r.checksum,
+        halted: r.halted,
+    })
 }
 
 /// Loads the per-workload checkpoint passes (sampled mode), store-first.
@@ -448,14 +414,13 @@ fn simulate_cell(job: &CellJob) -> CellResult {
 fn load_passes(
     spec: &SweepSpec,
     sc: &SampleConfig,
-    workloads: &[&Workload],
+    workloads: &[Workload],
     store: &Store,
     persist: bool,
     stats_computed: &AtomicU64,
     stats_cached: &AtomicU64,
 ) -> Vec<CheckpointPass> {
-    let jobs: Vec<&Workload> = workloads.to_vec();
-    reno_par::par_map(&jobs, |wl| {
+    reno_par::par_map(workloads, |wl| {
         let key = pass_key(spec, wl.name, sc);
         if let Some(bytes) = store.get(EntryKind::Pass, key) {
             match CheckpointPass::from_bytes(&bytes) {
@@ -480,16 +445,6 @@ fn load_passes(
         stats_computed.fetch_add(1, Ordering::Relaxed);
         pass
     })
-}
-
-/// Spin-waits until the watchdog cancels the job (fault injection for the
-/// timeout path). The wall-clock cap turns a broken watchdog into a slow
-/// test failure instead of a hung sweep.
-fn stall(ctx: &CancelToken) {
-    let t0 = std::time::Instant::now();
-    while !ctx.cancelled() && t0.elapsed() < Duration::from_secs(30) {
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 /// Runs (or resumes) the sweep described by `spec` against `store`.
@@ -520,10 +475,9 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
         }
     }
 
-    // The selected workloads move into the `Arc`s the watchdog jobs share
-    // (a timed-out job's thread may outlive this call); `selected` borrows
-    // them in spec order. The unselected ones are dropped here.
-    let wl_arcs: Vec<Arc<Workload>> = {
+    // The selected workloads in spec order; the unselected ones are
+    // dropped here.
+    let selected: Vec<Workload> = {
         let mut workloads = all_workloads(spec.scale);
         spec.workloads
             .iter()
@@ -532,11 +486,10 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
                     .iter()
                     .position(|w| w.name == *name)
                     .expect("spec parser validated workload names (known, unique)");
-                Arc::new(workloads.swap_remove(i))
+                workloads.swap_remove(i)
             })
             .collect()
     };
-    let selected: Vec<&Workload> = wl_arcs.iter().map(|w| &**w).collect();
 
     let cells: Vec<Cell<'_>> = selected
         .iter()
@@ -638,77 +591,39 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
         _ => Vec::new(),
     };
 
-    // Owned job state for the watchdog pool: a timed-out job's thread may
-    // outlive this call, so everything it touches is Arc-shared or cloned.
-    let spec_arc = Arc::new(spec.clone());
-    let pass_arcs: Vec<Option<Arc<CheckpointPass>>> = if passes.is_empty() {
-        vec![None; selected.len()]
-    } else {
-        passes.into_iter().map(|p| Some(Arc::new(p))).collect()
-    };
-    let deadline = cell_deadline(spec);
-    // The test-only override tightens the watchdog on fault-injected
-    // attempts alone, so a healthy cell never races a deadline sized for a
-    // wedge.
-    let fault_deadline = opts.deadline_ms.map_or(deadline, Duration::from_millis);
-    let job_deadline = |job: &CellJob| {
-        Some(if job.inject_panic || job.inject_stall {
-            fault_deadline
-        } else {
-            deadline
-        })
-    };
-    let make_job = |i: usize, attempt: u32| -> CellJob {
-        let cell = &cells[i];
-        let first = attempt == 1;
-        CellJob {
-            spec: Arc::clone(&spec_arc),
-            workload: Arc::clone(&wl_arcs[cell.wl_idx]),
-            cfg: cell.cfg.clone(),
-            sc,
-            pass: pass_arcs[cell.wl_idx].clone(),
-            id: cell.id.clone(),
-            inject_panic: opts.panic_always.contains(&cell.id)
-                || (first && opts.panic_first_attempt.contains(&cell.id)),
-            inject_stall: opts.stall_always.contains(&cell.id)
-                || (first && opts.stall_first_attempt.contains(&cell.id)),
-        }
-    };
-    let job_fn = |job: CellJob, ctx: &CancelToken| -> CellResult {
-        if job.inject_panic {
-            panic!("injected panic in cell {}", job.id);
-        }
-        if job.inject_stall {
-            stall(ctx);
-        }
-        simulate_cell(&job)
-    };
-
-    let mut computed = 0u64;
-    let mut timeouts = 0u64;
-
-    // One watchdog round over the cells at `idxs`. Commits happen in the
-    // `on_result` hook — i.e. on THIS thread, only for cells the pool did
-    // not abandon — so a timed-out cell can never race a `done` record
-    // against its own `timeout` record. A put that didn't commit (lock
-    // held by a live peer, or write error) journals nothing: resume
+    // One round over the cells at `idxs`; `None` marks an over-budget
+    // attempt. Each cell commits durably from inside its job, right after
+    // it finishes. Commits hold `commit` so one cell's store write and
+    // `done` record are adjacent in IO order: a kill leaves at most the
+    // one committing cell stored but unjournaled. A put that didn't commit
+    // (lock held by a live peer, or write error) journals nothing: resume
     // recomputes, which is always safe.
-    let mut run_round = |idxs: &[usize], attempt: u32| -> Vec<Result<CellResult, JobError>> {
-        let jobs: Vec<CellJob> = idxs.iter().map(|&i| make_job(i, attempt)).collect();
-        try_par_map_deadline(jobs, job_deadline, job_fn, |k, res| match res {
-            Ok(r) => {
-                computed += 1;
-                if let Some(j) = &journal {
-                    let key = cells[idxs[k]].key;
-                    if store.put(EntryKind::Cell, key, &r.to_bytes()) {
-                        let _ = j.append(&JournalEvent::Done { key }).map_err(|e| {
-                            eprintln!("dse: journal append failed ({e}); resume will recompute")
-                        });
+    let commit = Mutex::new(());
+    let run_round = |idxs: &[usize], attempt: u32| -> Vec<Result<Option<CellResult>, JobPanic>> {
+        try_par_map(idxs, |&i| {
+            let cell = &cells[i];
+            let first = attempt == 1;
+            if opts.panic_always.contains(&cell.id)
+                || (first && opts.panic_first_attempt.contains(&cell.id))
+            {
+                panic!("injected panic in cell {}", cell.id);
+            }
+            if opts.stall_always.contains(&cell.id)
+                || (first && opts.stall_first_attempt.contains(&cell.id))
+            {
+                return None;
+            }
+            let sampled = sc.as_ref().zip(passes.get(cell.wl_idx));
+            let r = simulate_cell(spec, &selected[cell.wl_idx], cell.cfg, sampled, &cell.id)?;
+            if let Some(j) = &journal {
+                let _serial = commit.lock().unwrap_or_else(PoisonError::into_inner);
+                if store.put(EntryKind::Cell, cell.key, &r.to_bytes()) {
+                    if let Err(e) = j.append(&JournalEvent::Done { key: cell.key }) {
+                        eprintln!("dse: journal append failed ({e}); resume will recompute");
                     }
                 }
             }
-            Err(JobError::Timeout { .. }) => timeouts += 1,
-            Err(JobError::Panic(_)) => {}
+            Some(r)
         })
     };
 
@@ -717,45 +632,53 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
         .collect();
     let first = run_round(&pending, 1);
 
-    // Retry pass: each first-attempt panic or timeout gets exactly one
-    // more try; a second failure quarantines the cell into the failed
-    // section.
+    // Retry pass: each first-attempt panic or over-budget attempt gets
+    // exactly one more try; a second failure quarantines the cell into the
+    // failed section.
     let failed_first: Vec<usize> = pending
         .iter()
         .zip(&first)
-        .filter_map(|(&i, r)| r.is_err().then_some(i))
+        .filter_map(|(&i, r)| (!matches!(r, Ok(Some(_)))).then_some(i))
         .collect();
     let second = run_round(&failed_first, 2);
-    if let Some(j) = &journal {
-        for (&i, r) in failed_first.iter().zip(&second) {
-            let record = match r {
-                Ok(_) => None,
-                Err(JobError::Panic(p)) => Some(JournalEvent::Fail {
-                    key: cells[i].key,
-                    message: p.message.clone(),
-                }),
-                Err(JobError::Timeout { .. }) => Some(JournalEvent::Timeout { key: cells[i].key }),
-            };
-            if let Some(record) = record {
-                let _ = j
-                    .append(&record)
-                    .map_err(|e| eprintln!("dse: journal append failed ({e})"));
-            }
+    let (mut computed, mut timeouts) = (0u64, 0u64);
+    for r in first.iter().chain(&second) {
+        match r {
+            Ok(Some(_)) => computed += 1,
+            Ok(None) => timeouts += 1,
+            Err(_) => {}
         }
     }
 
-    // Fold the run results back into the outcome table, in plan order.
+    // Fold the run results back into the outcome table, in plan order, and
+    // journal each cell that failed its retry.
     for (&i, r) in pending.iter().zip(&first) {
-        if let Ok(v) = r {
+        if let Ok(Some(v)) = r {
             outcomes[i] = Some(Ok(*v));
         }
     }
     for (&i, r) in failed_first.iter().zip(&second) {
-        outcomes[i] = Some(match r {
-            Ok(v) => Ok(*v),
-            Err(JobError::Panic(p)) => Err(p.message.clone()),
-            Err(JobError::Timeout { .. }) => Err(TIMEOUT_MESSAGE.to_string()),
-        });
+        let key = cells[i].key;
+        let (outcome, record) = match r {
+            Ok(Some(v)) => (Ok(*v), None),
+            Ok(None) => (
+                Err(TIMEOUT_MESSAGE.to_string()),
+                Some(JournalEvent::Timeout { key }),
+            ),
+            Err(p) => (
+                Err(p.message.clone()),
+                Some(JournalEvent::Fail {
+                    key,
+                    message: p.message.clone(),
+                }),
+            ),
+        };
+        if let (Some(j), Some(record)) = (&journal, record) {
+            let _ = j
+                .append(&record)
+                .map_err(|e| eprintln!("dse: journal append failed ({e})"));
+        }
+        outcomes[i] = Some(outcome);
     }
 
     let resolved: Vec<(String, Result<CellResult, String>)> = cells
@@ -845,5 +768,26 @@ mod tests {
         }
         // Defaults serialize too (a sweep that did nothing still reports).
         reno_trace::validate_json(SweepStats::default().to_json().trim_end()).expect("valid JSON");
+    }
+
+    /// The full-mode budget check: only a run stopped by its cycle cap is
+    /// over budget, never one that halted or ran out of fuel.
+    #[test]
+    fn full_mode_over_budget_means_stopped_at_the_cycle_cap() {
+        let wl = all_workloads(reno_workloads::Scale::Tiny)
+            .into_iter()
+            .next()
+            .expect("a tiny workload");
+        let cfg = MachineConfig::four_wide(reno_core::RenoConfig::reno());
+
+        assert_eq!(run_full(&wl, cfg.clone(), u64::MAX, 1), None, "1-cycle cap");
+
+        let halted = run_full(&wl, cfg.clone(), u64::MAX, MAX_CYCLES).expect("halts");
+        assert!(halted.halted);
+
+        let fuel = halted.retired / 2;
+        let out_of_fuel = run_full(&wl, cfg, fuel, MAX_CYCLES).expect("fuel runs out");
+        assert!(!out_of_fuel.halted);
+        assert_eq!(out_of_fuel.retired, fuel);
     }
 }

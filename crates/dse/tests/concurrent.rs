@@ -45,7 +45,7 @@ fn spec_a() -> SweepSpec {
 fn run_dse(spec_path: &Path, store: &Path) -> (bool, String, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
     cmd.arg(spec_path).arg("--store").arg(store);
-    cmd.env_remove("RENO_DSE_FAILPOINT");
+    cmd.env_remove("RENO_FAILPOINT");
     let out = cmd.output().expect("dse binary runs");
     (
         out.status.success(),
@@ -100,7 +100,7 @@ fn concurrent_processes_on_one_store_match_serial_byte_for_byte() {
     let spawn = |spec: &Path| {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
         cmd.arg(spec).arg("--store").arg(&shared);
-        cmd.env_remove("RENO_DSE_FAILPOINT");
+        cmd.env_remove("RENO_FAILPOINT");
         cmd.stdout(std::process::Stdio::piped());
         cmd.stderr(std::process::Stdio::piped());
         cmd.spawn().expect("dse binary spawns")

@@ -1,8 +1,8 @@
 //! End-to-end fault-tolerance tests for the DSE service: cache-identical
 //! re-runs, hand-corrupted store entries, panicking cells, wedged cells
-//! (watchdog timeouts), and — through the `dse` binary — process kills at
-//! every IO point (journal, store, lease, object-lock and GC writes) with
-//! byte-identical resumed reports and no live object lost.
+//! (over their cycle budget), and — through the `dse` binary — process
+//! kills at every IO point (journal, store, lease, object-lock and GC
+//! writes) with byte-identical resumed reports and no live object lost.
 
 use reno_dse::{parse_spec, run_sweep, Store, SweepOptions, SweepSpec, TIMEOUT_MESSAGE};
 use std::fs;
@@ -207,7 +207,6 @@ fn wedged_cell_times_out_is_retried_and_reported_failed() {
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
         stall_always: vec!["gzip.c/RENO".into()],
-        deadline_ms: Some(150),
         ..SweepOptions::default()
     };
     let out = run_sweep(&spec(), &store, &opts).unwrap();
@@ -241,7 +240,6 @@ fn first_attempt_stall_is_rescued_by_retry() {
     let store = Store::open(&dir).unwrap();
     let opts = SweepOptions {
         stall_first_attempt: vec!["mcf/BASE".into()],
-        deadline_ms: Some(150),
         ..SweepOptions::default()
     };
     let out = run_sweep(&spec(), &store, &opts).unwrap();
@@ -261,13 +259,13 @@ fn first_attempt_stall_is_rescued_by_retry() {
 // ---------------------------------------------------------------- kill/resume
 
 /// Runs the `dse` binary against `store`, returning (exit-ok, stdout,
-/// stderr). `failpoint` arms `RENO_DSE_FAILPOINT=abort-at-io:<n>`.
+/// stderr). `failpoint` arms `RENO_FAILPOINT=*:<n>:half-write`.
 fn run_dse(spec_path: &Path, store: &Path, failpoint: Option<u64>) -> (bool, String, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
     cmd.arg(spec_path).arg("--store").arg(store);
-    cmd.env_remove("RENO_DSE_FAILPOINT");
+    cmd.env_remove("RENO_FAILPOINT");
     if let Some(n) = failpoint {
-        cmd.env("RENO_DSE_FAILPOINT", format!("abort-at-io:{n}"));
+        cmd.env("RENO_FAILPOINT", format!("*:{n}:half-write"));
     }
     let out = cmd.output().expect("dse binary runs");
     (
@@ -278,7 +276,7 @@ fn run_dse(spec_path: &Path, store: &Path, failpoint: Option<u64>) -> (bool, Str
 }
 
 /// Runs `dse gc --store <store> --budget <budget>`, returning (exit-ok,
-/// stderr). `failpoint` arms `RENO_DSE_FAILPOINT=abort-at-io:<n>`.
+/// stderr). `failpoint` arms `RENO_FAILPOINT=*:<n>:half-write`.
 fn run_gc_bin(store: &Path, budget: u64, failpoint: Option<u64>) -> (bool, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
     cmd.arg("gc")
@@ -286,9 +284,9 @@ fn run_gc_bin(store: &Path, budget: u64, failpoint: Option<u64>) -> (bool, Strin
         .arg(store)
         .arg("--budget")
         .arg(budget.to_string());
-    cmd.env_remove("RENO_DSE_FAILPOINT");
+    cmd.env_remove("RENO_FAILPOINT");
     if let Some(n) = failpoint {
-        cmd.env("RENO_DSE_FAILPOINT", format!("abort-at-io:{n}"));
+        cmd.env("RENO_FAILPOINT", format!("*:{n}:half-write"));
     }
     let out = cmd.output().expect("dse binary runs");
     (

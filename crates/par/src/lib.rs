@@ -1,11 +1,12 @@
 //! # reno-par — deterministic order-preserving parallel map
 //!
-//! One primitive in two flavors: apply a function to every item of a slice,
-//! fanning the work across scoped worker threads (a work-stealing-free
-//! atomic-cursor pool on `std::thread::scope` — no dependencies), and return
-//! the results **in item order**. Callers therefore produce byte-identical
-//! output whether the map runs on 1 core or 64; `RENO_THREADS` overrides the
-//! worker count (`RENO_THREADS=1` forces the sequential path).
+//! One pool loop behind three entry points: apply a function to every item
+//! of a slice, fanning the work across scoped worker threads (a
+//! work-stealing-free atomic-cursor pool on `std::thread::scope` — no
+//! dependencies), and return the results **in item order**. Callers
+//! therefore produce byte-identical output whether the map runs on 1 core
+//! or 64; `RENO_THREADS` overrides the worker count (`RENO_THREADS=1`
+//! forces the sequential path).
 //!
 //! * [`par_map`] — the plain map. A panicking job no longer poisons or
 //!   aborts the pool: every other job still runs to completion, and the
@@ -17,46 +18,39 @@
 //!   slot instead of being raised at all, so a fleet of independent jobs
 //!   (e.g. a design-space sweep's cells) can lose one cell and keep the
 //!   rest.
-//! * [`try_par_map_deadline`] — the watchdog map. Jobs own their inputs and
-//!   run on detachable threads, each under its own optional wall-clock
-//!   deadline; a job that exceeds it is abandoned (its thread detached, its
-//!   [`CancelToken`] raised so a cooperative job can stop burning CPU) and
-//!   its slot becomes `Err(`[`JobError::Timeout`]`)` — the map **always
-//!   returns**, even when a job wedges. An `on_result` hook runs on the
-//!   caller's thread the moment each slot resolves, so callers can commit
-//!   results durably in arrival order without waiting for the whole fleet.
+//! * [`run_caught`] — one job on the calling thread with the same panic
+//!   isolation, for serial retry ladders.
+//!
+//! Jobs borrow their inputs and always run to completion; there is no
+//! per-job deadline. Callers bound their jobs by simulated work (fuel and
+//! cycle caps), which keeps results independent of host speed.
 //!
 //! Both the experiment harness (`reno-bench`, which fans workload ×
 //! configuration sweeps), the sampling engine (`reno-sample`, which fans
 //! checkpoint-delimited segments of one sampled run) and the DSE service
-//! (`reno-dse`, which fans sweep cells and must survive a panicking or
-//! wedged cell) are built on it; it lives in its own crate so they can
-//! share it without a dependency cycle.
+//! (`reno-dse`, which fans sweep cells and must survive a panicking cell)
+//! are built on it; it lives in its own crate so they can share it without
+//! a dependency cycle.
 //!
 //! ## Thread budget
 //!
 //! At most [`thread_count`] threads run jobs at once, **the caller
 //! included**: [`par_map`] and [`try_par_map`] spawn `thread_count() - 1`
-//! helpers and the calling thread works the same queue;
-//! [`try_par_map_deadline`] runs at most `thread_count()` job threads while
-//! its caller only supervises (a timed-out job abandoned on its detached
-//! thread no longer counts). Maps do not nest: while a thread runs jobs
-//! of a multi-thread map or a deadline job, [`thread_count`] returns 1
-//! there, so a map called from inside a job (e.g. a sampled run's segment
-//! fan-out inside a sweep cell) runs inline on that job's thread. A
-//! [`par_map`] or [`try_par_map`] with a single worker runs on the caller
-//! alone and leaves it unmarked, so a map nested in it may still use the
-//! whole budget. The budget is tight on purpose: every concurrently live
-//! thread gets its own malloc arena, which keeps its freed memory.
+//! helpers and the calling thread works the same queue. Maps do not nest:
+//! while a thread runs jobs of a multi-thread map, [`thread_count`]
+//! returns 1 there, so a map called from inside a job (e.g. a sampled
+//! run's segment fan-out inside a sweep cell) runs inline on that job's
+//! thread. A map with a single worker runs on the caller alone and leaves
+//! it unmarked, so a map nested in it may still use the whole budget. The
+//! budget is tight on purpose: every concurrently live thread gets its own
+//! malloc arena, which keeps its freed memory.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// Set while this thread runs pool jobs; maps started here run inline.
@@ -73,9 +67,9 @@ fn as_job<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Threads a map started on this thread may run jobs on, the caller
-/// included: 1 on a thread running jobs of a multi-thread map or a deadline
-/// job (maps do not nest), otherwise the `RENO_THREADS` override if set
-/// (>= 1), otherwise the host's available parallelism.
+/// included: 1 on a thread running jobs of a multi-thread map (maps do not
+/// nest), otherwise the `RENO_THREADS` override if set (>= 1), otherwise
+/// the host's available parallelism.
 pub fn thread_count() -> usize {
     if IN_JOB.with(Cell::get) {
         return 1;
@@ -223,177 +217,10 @@ pub fn run_caught<R>(f: impl FnOnce() -> R) -> Result<R, JobPanic> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| JobPanic::from_payload(p.as_ref()))
 }
 
-/// Why one [`try_par_map_deadline`] job failed: it panicked, or it exceeded
-/// its wall-clock deadline and was abandoned by the watchdog.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JobError {
-    /// The job panicked; the payload message is captured as in
-    /// [`try_par_map`].
-    Panic(JobPanic),
-    /// The job ran longer than the per-job deadline and was abandoned. Its
-    /// thread may still be running detached; its eventual result (if any)
-    /// is discarded.
-    Timeout {
-        /// The deadline that was exceeded, in milliseconds.
-        limit_ms: u64,
-    },
-}
-
-impl fmt::Display for JobError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobError::Panic(p) => write!(f, "{p}"),
-            JobError::Timeout { limit_ms } => {
-                write!(f, "job exceeded its {limit_ms} ms deadline")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JobError {}
-
-/// Cooperative cancellation flag handed to every [`try_par_map_deadline`]
-/// job. The pool raises it when the job's deadline expires (or never, if no
-/// deadline is set); a job that polls it can stop wasting CPU early, but
-/// polling is optional — an oblivious job is simply abandoned on a detached
-/// thread.
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// True once the pool has given up on this job.
-    pub fn cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
-/// How often the deadline scheduler wakes to check in-flight jobs against
-/// their deadlines. Bounds how *late* a timeout can be detected; it never
-/// delays result delivery (results arrive through the channel immediately).
-const WATCHDOG_POLL: Duration = Duration::from_millis(5);
-
-/// Like [`try_par_map`], but with a watchdog: jobs **own** their inputs and
-/// run on plain (detachable) threads, at most [`thread_count`] concurrently,
-/// and each job gets the optional wall-clock deadline `deadline(&item)`
-/// (read on the caller's thread just before the job starts). A job that
-/// exceeds it has its [`CancelToken`] raised, its thread detached, and its
-/// slot resolved to `Err(`[`JobError::Timeout`]`)` — so the map returns even
-/// when a job wedges in a loop that never polls the token.
-///
-/// `on_result` runs on the *caller's* thread the moment each slot resolves
-/// (in wall-clock arrival order, which is scheduling-dependent); callers use
-/// it to commit finished work durably without waiting for stragglers. The
-/// returned vector is in item order regardless. A detached job that finishes
-/// after its timeout was recorded is discarded — `on_result` fires exactly
-/// once per slot.
-pub fn try_par_map_deadline<T, R, F, D, C>(
-    items: Vec<T>,
-    deadline: D,
-    f: F,
-    mut on_result: C,
-) -> Vec<Result<R, JobError>>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T, &CancelToken) -> R + Send + Sync + 'static,
-    D: Fn(&T) -> Option<Duration>,
-    C: FnMut(usize, &Result<R, JobError>),
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = thread_count().min(n).max(1);
-    let f = Arc::new(f);
-    let (tx, rx) = mpsc::channel::<(usize, Result<R, JobPanic>)>();
-    let mut queue = items.into_iter();
-    let mut next_idx = 0usize;
-    let mut results: Vec<Option<Result<R, JobError>>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    // idx -> (start time, deadline, cancel flag, join handle). Dropping the
-    // handle detaches the thread — that is exactly the abandon semantics.
-    type InFlight = (
-        Instant,
-        Option<Duration>,
-        Arc<AtomicBool>,
-        std::thread::JoinHandle<()>,
-    );
-    let mut in_flight: HashMap<usize, InFlight> = HashMap::new();
-    let mut completed = 0usize;
-    while completed < n {
-        while in_flight.len() < workers {
-            let Some(item) = queue.next() else { break };
-            let idx = next_idx;
-            next_idx += 1;
-            let limit = deadline(&item);
-            let cancel = Arc::new(AtomicBool::new(false));
-            let token = CancelToken {
-                flag: Arc::clone(&cancel),
-            };
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("reno-par-job-{idx}"))
-                .spawn(move || {
-                    let r = as_job(|| catch_unwind(AssertUnwindSafe(|| f(item, &token))));
-                    // The receiver may already have abandoned this job; a
-                    // closed channel is fine, the result is simply dropped.
-                    let _ = tx.send((idx, r.map_err(|p| JobPanic::from_payload(p.as_ref()))));
-                })
-                .expect("spawn watchdog job thread");
-            in_flight.insert(idx, (Instant::now(), limit, cancel, handle));
-        }
-        let recv = if in_flight.values().any(|(_, limit, _, _)| limit.is_some()) {
-            rx.recv_timeout(WATCHDOG_POLL)
-        } else {
-            rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
-        };
-        match recv {
-            Ok((idx, res)) => {
-                // Only honor results for jobs still in flight: a detached
-                // (timed-out) job's late result must not overwrite the
-                // recorded timeout or fire on_result twice.
-                if let Some((_, _, _, handle)) = in_flight.remove(&idx) {
-                    let _ = handle.join();
-                    let slot = res.map_err(JobError::Panic);
-                    on_result(idx, &slot);
-                    results[idx] = Some(slot);
-                    completed += 1;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                unreachable!("the pool holds a sender for the job channel")
-            }
-        }
-        let expired: Vec<(usize, Duration)> = in_flight
-            .iter()
-            .filter_map(|(&idx, (start, limit, _, _))| {
-                limit.filter(|l| start.elapsed() > *l).map(|l| (idx, l))
-            })
-            .collect();
-        for (idx, limit) in expired {
-            let (_, _, cancel, handle) = in_flight.remove(&idx).expect("expired job in flight");
-            cancel.store(true, Ordering::Relaxed);
-            drop(handle); // detach: the wedged thread is abandoned
-            let slot = Err(JobError::Timeout {
-                limit_ms: limit.as_millis() as u64,
-            });
-            on_result(idx, &slot);
-            results[idx] = Some(slot);
-            completed += 1;
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot resolved"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     /// Silences the default panic hook around a block that provokes panics
     /// on purpose (worker panics would otherwise spam test output).
@@ -464,83 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_map_matches_sequential_without_deadline() {
-        let items: Vec<u64> = (0..64).collect();
-        let mut seen = Vec::new();
-        let out = try_par_map_deadline(
-            items.clone(),
-            |_| None,
-            |x, _ctx| x * 3,
-            |idx, _r| seen.push(idx),
-        );
-        assert_eq!(out.len(), 64);
-        for (i, r) in out.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("clean job"), i as u64 * 3);
-        }
-        seen.sort_unstable();
-        assert_eq!(
-            seen,
-            (0..64).collect::<Vec<_>>(),
-            "on_result fired once per slot"
-        );
-    }
-
-    #[test]
-    fn deadline_map_times_out_wedged_job_and_finishes_the_rest() {
-        let items: Vec<u64> = (0..6).collect();
-        let out = try_par_map_deadline(
-            items,
-            |_| Some(Duration::from_millis(60)),
-            |x, ctx| {
-                if x == 2 {
-                    // Wedge cooperatively: spin until the watchdog raises
-                    // the token (or a generous cap, so a broken watchdog
-                    // fails the test instead of hanging it).
-                    let t0 = Instant::now();
-                    while !ctx.cancelled() && t0.elapsed() < Duration::from_secs(10) {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                }
-                x + 100
-            },
-            |_idx, _r| {},
-        );
-        for (i, r) in out.iter().enumerate() {
-            if i == 2 {
-                assert_eq!(
-                    *r.as_ref().expect_err("wedged job times out"),
-                    JobError::Timeout { limit_ms: 60 }
-                );
-            } else {
-                assert_eq!(*r.as_ref().expect("fast job"), i as u64 + 100);
-            }
-        }
-    }
-
-    #[test]
-    fn deadline_map_captures_panics_like_try_par_map() {
-        let out = quietly(|| {
-            try_par_map_deadline(
-                vec![0u8, 1, 2],
-                |_| Some(Duration::from_secs(30)),
-                |x, _ctx| {
-                    if x == 1 {
-                        panic!("boom at {x}");
-                    }
-                    x
-                },
-                |_idx, _r| {},
-            )
-        });
-        assert_eq!(*out[0].as_ref().unwrap(), 0);
-        match out[1].as_ref().unwrap_err() {
-            JobError::Panic(p) => assert_eq!(p.message, "boom at 1"),
-            other => panic!("expected panic error, got {other:?}"),
-        }
-        assert_eq!(*out[2].as_ref().unwrap(), 2);
-    }
-
-    #[test]
     fn par_map_reraises_lowest_index_panic_after_completing_the_rest() {
         use std::sync::atomic::AtomicU64;
         let done = AtomicU64::new(0);
@@ -599,27 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn maps_nested_in_a_deadline_job_run_on_the_job_thread() {
-        let out = try_par_map_deadline(
-            (0..4u64).collect(),
-            |_| None,
-            |_, _ctx| {
-                let inner: Vec<u64> = (0..8).collect();
-                let nested = par_map(&inner, |_| std::thread::current().id());
-                let tried = try_par_map(&inner, |_| std::thread::current().id());
-                (std::thread::current().id(), thread_count(), nested, tried)
-            },
-            |_idx, _r| {},
-        );
-        for r in out {
-            let (me, budget, nested, tried) = r.expect("clean job");
-            assert_eq!(budget, 1);
-            assert!(nested.iter().all(|id| *id == me));
-            assert!(tried.into_iter().all(|r| r.expect("clean inner job") == me));
-        }
-    }
-
-    #[test]
     fn top_level_map_runs_on_at_most_thread_count_threads_caller_included() {
         let budget = thread_count();
         let caller = std::thread::current().id();
@@ -650,8 +379,6 @@ mod tests {
         par_map(&items, |x| x + 1);
         assert_eq!(thread_count(), before);
         let _ = try_par_map(&items, |x| x + 1);
-        assert_eq!(thread_count(), before);
-        let _ = try_par_map_deadline(items.clone(), |_| None, |x, _| x, |_, _| {});
         assert_eq!(thread_count(), before);
         let raised =
             quietly(|| catch_unwind(|| par_map(&items, |_| -> u64 { panic!("all fail") })));
