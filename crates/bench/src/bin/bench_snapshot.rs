@@ -47,7 +47,7 @@ use reno_core::RenoConfig;
 use reno_func::{Cpu, DecodedProgram};
 use reno_sample::run_sampled_auto;
 use reno_sim::MachineConfig;
-use reno_workloads::{media_suite, spec_suite, Scale, Workload};
+use reno_workloads::{workload, Scale, Workload};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -60,9 +60,9 @@ fn workloads() -> Vec<Workload> {
     // One pointer-chasing SPEC-like kernel and one MAC-loop media-like
     // kernel: together they exercise the load/store queues, the branch
     // machinery and the RENO renamer without making the snapshot slow.
-    let spec = spec_suite(Scale::Default).swap_remove(0); // gzip.c
-    let media = media_suite(Scale::Default).swap_remove(2); // gsm.en
-    vec![spec, media]
+    ["gzip.c", "gsm.en"]
+        .map(|name| workload(name, Scale::Default).expect("a suite kernel"))
+        .into()
 }
 
 /// One timed repetition of the plain functional engine (predecoded basic

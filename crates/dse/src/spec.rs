@@ -31,7 +31,7 @@
 
 use reno_core::RenoConfig;
 use reno_sim::MachineConfig;
-use reno_workloads::{all_workloads, Scale};
+use reno_workloads::{media_names, spec_names, workload_names, Scale};
 
 /// A parse/validation error with the 1-based line it occurred on
 /// (line 0 = a whole-file problem, e.g. no workloads).
@@ -157,7 +157,7 @@ fn build_config(line: usize, toks: &[&str]) -> Result<MachineConfig, SpecError> 
 
 /// Parses and validates a sweep spec. See the module docs for the grammar.
 pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
-    let known: Vec<&'static str> = all_workloads(Scale::Tiny).iter().map(|w| w.name).collect();
+    let known: Vec<&'static str> = workload_names().collect();
 
     let mut name = "sweep".to_string();
     let mut scale = Scale::Default;
@@ -239,14 +239,8 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, SpecError> {
             }
             "suite" => {
                 let names: Vec<&'static str> = match toks[1..] {
-                    ["spec"] => reno_workloads::spec_suite(Scale::Tiny)
-                        .iter()
-                        .map(|w| w.name)
-                        .collect(),
-                    ["media"] => reno_workloads::media_suite(Scale::Tiny)
-                        .iter()
-                        .map(|w| w.name)
-                        .collect(),
+                    ["spec"] => spec_names().collect(),
+                    ["media"] => media_names().collect(),
                     ["all"] => known.clone(),
                     _ => return Err(err(line, "suite needs spec|media|all")),
                 };

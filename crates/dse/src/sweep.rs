@@ -65,7 +65,7 @@ use crate::store::{fnv1a64, EntryKind, Store, StoreError};
 use reno_par::{try_par_map, JobPanic};
 use reno_sample::{run_sampled_with_pass, CheckpointPass, SampleConfig};
 use reno_sim::{MachineConfig, Simulator};
-use reno_workloads::{all_workloads, Workload};
+use reno_workloads::{workload, Workload};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -475,21 +475,13 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
         }
     }
 
-    // The selected workloads in spec order; the unselected ones are
-    // dropped here.
-    let selected: Vec<Workload> = {
-        let mut workloads = all_workloads(spec.scale);
-        spec.workloads
-            .iter()
-            .map(|name| {
-                let i = workloads
-                    .iter()
-                    .position(|w| w.name == *name)
-                    .expect("spec parser validated workload names (known, unique)");
-                workloads.swap_remove(i)
-            })
-            .collect()
-    };
+    // The selected workloads in spec order; the unselected ones are never
+    // built.
+    let selected: Vec<Workload> = spec
+        .workloads
+        .iter()
+        .map(|name| workload(name, spec.scale).expect("spec parser validated workload names"))
+        .collect();
 
     let cells: Vec<Cell<'_>> = selected
         .iter()
@@ -774,10 +766,7 @@ mod tests {
     /// over budget, never one that halted or ran out of fuel.
     #[test]
     fn full_mode_over_budget_means_stopped_at_the_cycle_cap() {
-        let wl = all_workloads(reno_workloads::Scale::Tiny)
-            .into_iter()
-            .next()
-            .expect("a tiny workload");
+        let wl = workload("gzip.c", reno_workloads::Scale::Tiny).expect("a tiny workload");
         let cfg = MachineConfig::four_wide(reno_core::RenoConfig::reno());
 
         assert_eq!(run_full(&wl, cfg.clone(), u64::MAX, 1), None, "1-cycle cap");

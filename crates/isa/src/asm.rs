@@ -50,6 +50,10 @@ enum Fixup {
 /// at any point before or after the code that uses it — but [`Asm::addr_of`]
 /// only works after the declaration.
 ///
+/// The builder owns what it is given: [`Asm::data`] takes a segment's bytes
+/// by value and [`Asm::assemble`] consumes the builder, so a generated
+/// buffer moves into the final [`Program`] without being copied.
+///
 /// ```
 /// use reno_isa::{Asm, Reg};
 /// let mut a = Asm::new();
@@ -114,20 +118,21 @@ impl Asm {
     // ------------------------------------------------------------------ data
 
     /// Allocates an initialized data segment; returns its byte address.
-    pub fn data(&mut self, name: &str, bytes: &[u8]) -> u64 {
+    ///
+    /// The segment takes `bytes` by value: a `Vec<u8>` is moved into the
+    /// program as is, never copied (slices and arrays are copied once).
+    pub fn data(&mut self, name: &str, bytes: impl Into<Vec<u8>>) -> u64 {
+        let bytes = bytes.into();
         let addr = self.data_cursor;
-        self.data.push(DataSeg {
-            addr,
-            bytes: bytes.to_vec(),
-        });
         self.data_cursor += (bytes.len() as u64 + 7) & !7;
+        self.data.push(DataSeg { addr, bytes });
         self.data_labels.insert(name.to_string(), addr);
         addr
     }
 
     /// Allocates `len` zero bytes; returns the byte address.
     pub fn zeros(&mut self, name: &str, len: usize) -> u64 {
-        self.data(name, &vec![0u8; len])
+        self.data(name, vec![0u8; len])
     }
 
     /// Allocates an array of 64-bit little-endian words; returns the address.
@@ -136,7 +141,7 @@ impl Asm {
         for w in ws {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
-        self.data(name, &bytes)
+        self.data(name, bytes)
     }
 
     /// Byte address of a previously declared data segment.
@@ -468,43 +473,48 @@ impl Asm {
 
     /// Resolves labels and produces the final [`Program`].
     ///
+    /// Consumes the builder: fixups are patched into its instruction buffer
+    /// in place, and the instructions and data segments move into the
+    /// program without a copy.
+    ///
     /// # Errors
     ///
     /// Returns an error for undefined or duplicate labels, or branch offsets
     /// that do not fit in 16 bits.
-    pub fn assemble(&self) -> Result<Program, AsmError> {
-        if let Some(l) = &self.dup_label {
-            return Err(AsmError::DuplicateLabel(l.clone()));
+    pub fn assemble(self) -> Result<Program, AsmError> {
+        let Asm {
+            name,
+            mut insts,
+            labels,
+            fixups,
+            data,
+            dup_label,
+            ..
+        } = self;
+        if let Some(l) = dup_label {
+            return Err(AsmError::DuplicateLabel(l));
         }
-        let mut insts = self.insts.clone();
-        for (site, fixup) in &self.fixups {
-            let (label, value) = match fixup {
-                Fixup::Rel(l) | Fixup::Hi(l) | Fixup::Lo(l) => {
-                    let target = *self
-                        .labels
-                        .get(l)
-                        .ok_or_else(|| AsmError::UndefinedLabel(l.clone()))?;
-                    (l, target as i64)
-                }
+        for (site, fixup) in fixups {
+            let (Fixup::Rel(label) | Fixup::Hi(label) | Fixup::Lo(label)) = &fixup;
+            let Some(&target) = labels.get(label) else {
+                return Err(AsmError::UndefinedLabel(label.clone()));
             };
-            let imm = match fixup {
-                Fixup::Rel(_) => {
-                    let off = value - (*site as i64 + 1);
-                    i16::try_from(off).map_err(|_| AsmError::BranchOutOfRange {
-                        label: label.clone(),
-                        offset: off,
-                    })?
+            let value = target as i64;
+            insts[site].imm = match fixup {
+                Fixup::Rel(label) => {
+                    let off = value - (site as i64 + 1);
+                    i16::try_from(off)
+                        .map_err(|_| AsmError::BranchOutOfRange { label, offset: off })?
                 }
                 Fixup::Hi(_) => (value >> 16) as i16,
                 Fixup::Lo(_) => (value & 0xffff) as u16 as i16,
             };
-            insts[*site].imm = imm;
         }
         Ok(Program {
-            name: self.name.clone(),
+            name,
             insts,
             entry: 0,
-            data: self.data.clone(),
+            data,
         })
     }
 }
@@ -566,7 +576,7 @@ mod tests {
     #[test]
     fn data_allocation_is_aligned_and_addressable() {
         let mut a = Asm::new();
-        let x = a.data("x", &[1, 2, 3]);
+        let x = a.data("x", [1, 2, 3]);
         let y = a.words("y", &[42]);
         assert_eq!(x, DATA_BASE);
         assert_eq!(y, DATA_BASE + 8, "3 bytes round up to 8");

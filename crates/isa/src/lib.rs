@@ -13,7 +13,9 @@
 //! The crate provides the instruction model ([`Inst`], [`Opcode`], [`Reg`]),
 //! a 32-bit binary [`encode`]/[`decode`] pair, an [`Asm`] assembler with labels
 //! and data sections, and a [`Program`] container consumed by the functional
-//! and timing simulators.
+//! and timing simulators. The assembler moves rather than copies: data
+//! segments are taken by value, and [`Asm::assemble`] consumes the builder and
+//! hands its instruction and segment buffers to the [`Program`].
 //!
 //! ```
 //! use reno_isa::{Asm, Reg};

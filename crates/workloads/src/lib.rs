@@ -25,15 +25,20 @@
 //!
 //! Each [`Workload`] pairs a table-ready name (mirroring the paper's
 //! benchmark lists) with an assembled [`reno_isa::Program`]; the suites are
-//! what every figure/table binary in `reno-bench` iterates over.
+//! what every figure/table binary in `reno-bench` iterates over. Each suite
+//! is one `(name, builder)` table, so the names ([`workload_names`]) cost
+//! nothing, and [`workload`] builds a single kernel by name.
 //!
 //! ```
-//! use reno_workloads::{all_workloads, media_suite, spec_suite, Scale};
+//! use reno_workloads::{all_workloads, media_suite, spec_suite, workload, workload_names, Scale};
 //! let spec = spec_suite(Scale::Tiny);
 //! let media = media_suite(Scale::Tiny);
 //! assert_eq!(spec.len(), 10);
 //! assert_eq!(media.len(), 10);
 //! assert_eq!(all_workloads(Scale::Tiny).len(), 20);
+//! assert_eq!(workload_names().count(), 20);
+//! assert_eq!(workload("mcf", Scale::Tiny).map(|w| w.name), Some("mcf"));
+//! assert!(workload("nope", Scale::Tiny).is_none());
 //! // Scales grow dynamic instruction counts without changing structure.
 //! assert!(Scale::Default.factor() > Scale::Small.factor());
 //! assert!(Scale::Large.factor() > Scale::Default.factor());
@@ -81,103 +86,78 @@ pub struct Workload {
     pub program: Program,
 }
 
+/// A kernel builder: base-iteration multiplier ([`Scale::factor`]) in,
+/// assembled program out.
+type Builder = fn(usize) -> Program;
+
+/// The SPECint-like suite, in table order.
+const SPEC: [(&str, Builder); 10] = [
+    ("gzip.c", spec::gzip_like),
+    ("crafty", spec::crafty_like),
+    ("mcf", spec::mcf_like),
+    ("parser", spec::parser_like),
+    ("vortex", spec::vortex_like),
+    ("twolf", spec::twolf_like),
+    ("gap", spec::gap_like),
+    ("perl.i", spec::perl_like),
+    ("bzip2", spec::bzip2_like),
+    ("vpr.r", spec::vpr_like),
+];
+
+/// The MediaBench-like suite, in table order.
+const MEDIA: [(&str, Builder); 10] = [
+    ("adpcm.en", media::adpcm_like),
+    ("g721.de", media::g721_like),
+    ("gsm.en", media::gsm_like),
+    ("jpg.en", media::jpeg_like),
+    ("mpg2.de", media::mpeg2_like),
+    ("epic", media::epic_like),
+    ("pegw.en", media::pegwit_like),
+    ("mesa.t", media::mesa_like),
+    ("gs.de", media::gs_like),
+    ("unepic", media::unepic_like),
+];
+
+fn build(&(name, builder): &(&'static str, Builder), scale: Scale) -> Workload {
+    Workload {
+        name,
+        program: builder(scale.factor()),
+    }
+}
+
 /// The SPECint-like suite (10 kernels).
 pub fn spec_suite(scale: Scale) -> Vec<Workload> {
-    let f = scale.factor();
-    vec![
-        Workload {
-            name: "gzip.c",
-            program: spec::gzip_like(f),
-        },
-        Workload {
-            name: "crafty",
-            program: spec::crafty_like(f),
-        },
-        Workload {
-            name: "mcf",
-            program: spec::mcf_like(f),
-        },
-        Workload {
-            name: "parser",
-            program: spec::parser_like(f),
-        },
-        Workload {
-            name: "vortex",
-            program: spec::vortex_like(f),
-        },
-        Workload {
-            name: "twolf",
-            program: spec::twolf_like(f),
-        },
-        Workload {
-            name: "gap",
-            program: spec::gap_like(f),
-        },
-        Workload {
-            name: "perl.i",
-            program: spec::perl_like(f),
-        },
-        Workload {
-            name: "bzip2",
-            program: spec::bzip2_like(f),
-        },
-        Workload {
-            name: "vpr.r",
-            program: spec::vpr_like(f),
-        },
-    ]
+    SPEC.iter().map(|e| build(e, scale)).collect()
 }
 
 /// The MediaBench-like suite (10 kernels).
 pub fn media_suite(scale: Scale) -> Vec<Workload> {
-    let f = scale.factor();
-    vec![
-        Workload {
-            name: "adpcm.en",
-            program: media::adpcm_like(f),
-        },
-        Workload {
-            name: "g721.de",
-            program: media::g721_like(f),
-        },
-        Workload {
-            name: "gsm.en",
-            program: media::gsm_like(f),
-        },
-        Workload {
-            name: "jpg.en",
-            program: media::jpeg_like(f),
-        },
-        Workload {
-            name: "mpg2.de",
-            program: media::mpeg2_like(f),
-        },
-        Workload {
-            name: "epic",
-            program: media::epic_like(f),
-        },
-        Workload {
-            name: "pegw.en",
-            program: media::pegwit_like(f),
-        },
-        Workload {
-            name: "mesa.t",
-            program: media::mesa_like(f),
-        },
-        Workload {
-            name: "gs.de",
-            program: media::gs_like(f),
-        },
-        Workload {
-            name: "unepic",
-            program: media::unepic_like(f),
-        },
-    ]
+    MEDIA.iter().map(|e| build(e, scale)).collect()
 }
 
 /// Both suites concatenated.
 pub fn all_workloads(scale: Scale) -> Vec<Workload> {
-    let mut v = spec_suite(scale);
-    v.extend(media_suite(scale));
-    v
+    SPEC.iter().chain(&MEDIA).map(|e| build(e, scale)).collect()
+}
+
+/// Names of the SPECint-like suite, in [`spec_suite`] order; builds nothing.
+pub fn spec_names() -> impl Iterator<Item = &'static str> {
+    SPEC.iter().map(|&(name, _)| name)
+}
+
+/// Names of the MediaBench-like suite, in [`media_suite`] order; builds
+/// nothing.
+pub fn media_names() -> impl Iterator<Item = &'static str> {
+    MEDIA.iter().map(|&(name, _)| name)
+}
+
+/// Names of both suites, in [`all_workloads`] order; builds nothing.
+pub fn workload_names() -> impl Iterator<Item = &'static str> {
+    spec_names().chain(media_names())
+}
+
+/// Builds the one kernel called `name`, or `None` if no suite has it.
+pub fn workload(name: &str, scale: Scale) -> Option<Workload> {
+    let entry = SPEC.iter().chain(&MEDIA).find(|(n, _)| *n == name)?;
+    Some(build(entry, scale))
 }

@@ -36,23 +36,24 @@ pub fn words(seed: u64, n: usize) -> Vec<u64> {
 }
 
 /// A random permutation of `0..n` arranged as a single cycle (for
-/// pointer-chasing kernels: `next[i]` is the successor of node `i`).
-pub fn cycle_permutation(seed: u64, n: usize) -> Vec<u64> {
+/// pointer-chasing kernels): calls `link(i, next)` once per node `i`, with
+/// `next` its successor, so the caller writes each link straight into its
+/// own node layout.
+pub fn cycle_permutation(seed: u64, n: usize, mut link: impl FnMut(usize, u32)) {
     let mut r = rng(seed);
-    let mut order: Vec<u64> = (1..n as u64).collect();
+    let n = u32::try_from(n).expect("node indices fit in u32");
+    let mut order: Vec<u32> = (1..n).collect();
     // Fisher-Yates.
     for i in (1..order.len()).rev() {
         let j = r.gen_range(0..=i);
         order.swap(i, j);
     }
-    let mut next = vec![0u64; n];
     let mut cur = 0usize;
     for &o in &order {
-        next[cur] = o;
+        link(cur, o);
         cur = o as usize;
     }
-    next[cur] = 0;
-    next
+    link(cur, 0);
 }
 
 /// Little-endian byte encoding of 16-bit samples (for media kernels).
@@ -82,7 +83,8 @@ mod tests {
 
     #[test]
     fn cycle_visits_every_node() {
-        let next = cycle_permutation(7, 64);
+        let mut next = [u32::MAX; 64];
+        cycle_permutation(7, 64, |i, succ| next[i] = succ);
         let mut seen = [false; 64];
         let mut cur = 0usize;
         for _ in 0..64 {

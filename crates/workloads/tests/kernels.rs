@@ -2,7 +2,10 @@
 //! instruction-stream properties the paper's evaluation depends on.
 
 use reno_func::run_to_completion;
-use reno_workloads::{all_workloads, media_suite, spec_suite, Scale, Workload};
+use reno_workloads::{
+    all_workloads, media_names, media_suite, spec_names, spec_suite, workload, workload_names,
+    Scale, Workload,
+};
 
 const FUEL: u64 = 20_000_000;
 
@@ -31,10 +34,7 @@ fn every_kernel_halts_with_nonzero_checksum() {
 fn kernels_are_deterministic() {
     for w in spec_suite(Scale::Tiny) {
         let (c1, _) = run(&w);
-        let w2 = spec_suite(Scale::Tiny)
-            .into_iter()
-            .find(|x| x.name == w.name)
-            .unwrap();
+        let w2 = workload(w.name, Scale::Tiny).unwrap();
         let (c2, _) = run(&w2);
         assert_eq!(c1, c2, "{} is nondeterministic", w.name);
     }
@@ -111,10 +111,7 @@ fn media_suite_is_addi_and_alu_heavy() {
 
 #[test]
 fn mesa_like_has_outlier_move_density() {
-    let w = media_suite(Scale::Tiny)
-        .into_iter()
-        .find(|w| w.name == "mesa.t")
-        .unwrap();
+    let w = workload("mesa.t", Scale::Tiny).unwrap();
     let (_, mix) = run(&w);
     assert!(
         mix.move_pct() > 7.0,
@@ -125,12 +122,31 @@ fn mesa_like_has_outlier_move_density() {
 
 #[test]
 fn mcf_like_has_big_working_set() {
-    let w = spec_suite(Scale::Tiny)
-        .into_iter()
-        .find(|w| w.name == "mcf")
-        .unwrap();
+    let w = workload("mcf", Scale::Tiny).unwrap();
     assert!(
         w.program.data_len() >= 1 << 20,
         "mcf-like needs an L2-busting footprint"
     );
+}
+
+#[test]
+fn names_and_by_name_builds_match_the_suites() {
+    let names = |ws: Vec<Workload>| ws.into_iter().map(|w| w.name).collect::<Vec<_>>();
+    assert_eq!(
+        spec_names().collect::<Vec<_>>(),
+        names(spec_suite(Scale::Tiny))
+    );
+    assert_eq!(
+        media_names().collect::<Vec<_>>(),
+        names(media_suite(Scale::Tiny))
+    );
+    assert_eq!(
+        workload_names().collect::<Vec<_>>(),
+        names(all_workloads(Scale::Tiny))
+    );
+    for w in all_workloads(Scale::Tiny) {
+        let one = workload(w.name, Scale::Tiny).expect("every suite name builds");
+        assert_eq!(one.program, w.program, "{}", w.name);
+    }
+    assert!(workload("no-such-kernel", Scale::Tiny).is_none());
 }

@@ -22,10 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .collect();
 
+    let lines = text.len() as i64 / 64;
+
     let mut a = Asm::named("custom");
-    let buf = a.data("text", &text);
+    // The segment takes the buffer by value: it moves into the program.
+    let buf = a.data("text", text);
     a.li(Reg::S0, buf as i64);
-    a.li(Reg::S1, text.len() as i64 / 64); // lines of 64 bytes
+    a.li(Reg::S1, lines); // lines of 64 bytes
     a.li(Reg::S4, 0);
     a.label("line");
     a.mov(Reg::A0, Reg::S0); // arg setup move (RENO_ME)
