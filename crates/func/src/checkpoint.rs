@@ -89,11 +89,11 @@ impl Checkpoint {
     /// Snapshots `cpu`, storing memory as a delta against `program`'s
     /// initial image (the state [`Cpu::new`] would start from).
     pub fn take(cpu: &Cpu, program: &Program) -> Checkpoint {
-        Checkpoint::take_with_base(cpu, Cpu::new(program).mem())
+        Checkpoint::take_with_base(cpu, &Memory::image_of(program))
     }
 
     /// Like [`Checkpoint::take`], but deltas against a caller-held copy of
-    /// the program's initial memory image (`Cpu::new(program).mem()`), so a
+    /// the program's initial memory image ([`Memory::image_of`]), so a
     /// sampling engine taking many checkpoints builds that image once.
     pub fn take_with_base(cpu: &Cpu, base: &Memory) -> Checkpoint {
         Checkpoint::with_pages(cpu, cpu.mem().delta_from(base))
@@ -130,7 +130,7 @@ impl Checkpoint {
     /// Reconstructs the machine against the same `program` the checkpoint
     /// was taken from. Resumes bit-identically (see the type docs).
     pub fn restore(&self, program: &Program) -> Cpu {
-        self.restore_onto(Cpu::new(program).mem().clone())
+        self.restore_onto(Memory::image_of(program))
     }
 
     /// Like [`Checkpoint::restore`], but starting from a caller-held copy

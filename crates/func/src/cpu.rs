@@ -54,14 +54,19 @@ pub struct Cpu {
 
 impl Cpu {
     /// Creates a machine with `program`'s data segments loaded and
-    /// `pc` at the entry point.
+    /// `pc` at the entry point: [`Cpu::from_image`] on a fresh
+    /// [`Memory::image_of`].
     pub fn new(program: &Program) -> Cpu {
-        let mut mem = Memory::new();
-        for seg in &program.data {
-            mem.write_bytes(seg.addr, &seg.bytes);
-        }
-        // Dirty tracking measures writes *since the initial image*: loading
-        // the program's own data segments does not count.
+        Cpu::from_image(program, &Memory::image_of(program))
+    }
+
+    /// Creates a machine like [`Cpu::new`], starting from `image`, which
+    /// must be `program`'s [`Memory::image_of`] (or a copy of it). The
+    /// machine shares every page with `image` copy-on-write, so any number
+    /// of machines of one program cost one image plus the pages each one
+    /// writes. The dirty set starts empty whatever `image`'s.
+    pub fn from_image(program: &Program, image: &Memory) -> Cpu {
+        let mut mem = image.clone();
         mem.clear_dirty();
         let mut regs = [0i64; Reg::COUNT];
         regs[Reg::SP.index()] = STACK_TOP as i64;
@@ -451,5 +456,70 @@ mod tests {
         let p2 = a2.assemble().unwrap();
         let (c2, _) = run_to_completion(&p2, 10).unwrap();
         assert_ne!(c1.state_digest(), c2.state_digest());
+    }
+
+    /// A program with three data pages: two with content, one of zeros.
+    fn three_page_program() -> Program {
+        let mut a = asm();
+        a.words("a", &[1; 512]);
+        a.words("b", &[2; 512]);
+        a.zeros("z", 4096);
+        a.halt();
+        a.assemble().unwrap()
+    }
+
+    #[test]
+    fn machines_from_one_image_share_every_page_until_written() {
+        let p = three_page_program();
+        let image = Memory::image_of(&p);
+        let n = image.resident_pages();
+        assert_eq!(n, 3);
+        let mut a = Cpu::from_image(&p, &image);
+        let b = Cpu::from_image(&p, &image);
+        assert_eq!(a.mem().shared_pages(&image), n);
+        assert_eq!(b.mem().shared_pages(&image), n);
+        assert_eq!(a.mem().shared_pages(b.mem()), n);
+
+        let addr = p.data[1].addr + 8;
+        a.mem_mut().write_u64(addr, 99);
+        assert_eq!(a.mem().resident_pages(), n, "no page appears");
+        assert_eq!(a.mem().shared_pages(&image), n - 1, "one page copied");
+        assert_eq!(b.mem().shared_pages(&image), n, "the other is untouched");
+        assert_eq!(a.mem().read_u64(addr), 99);
+        assert_eq!(image.read_u64(addr), 2, "the image is unchanged");
+        assert_eq!(b.mem().read_u64(addr), 2, "the other machine too");
+        assert_eq!(a.mem().dirty_pages_sorted(), vec![addr >> 12]);
+    }
+
+    #[test]
+    fn from_image_starts_with_an_empty_dirty_set() {
+        let p = three_page_program();
+        let mut image = Memory::image_of(&p);
+        assert_eq!(image.dirty_page_count(), 0);
+        assert_eq!(Cpu::from_image(&p, &image).mem().dirty_page_count(), 0);
+        image.write_u64(p.data[0].addr, 5); // an image with dirt of its own
+        assert_eq!(Cpu::from_image(&p, &image).mem().dirty_page_count(), 0);
+        assert_eq!(Cpu::new(&p).mem().dirty_page_count(), 0);
+    }
+
+    #[test]
+    fn from_image_runs_every_tiny_kernel_like_new() {
+        for w in reno_workloads::all_workloads(reno_workloads::Scale::Tiny) {
+            let p = &w.program;
+            let image = Memory::image_of(p);
+            let mut fresh = Cpu::new(p);
+            let mut shared = Cpu::from_image(p, &image);
+            let rf = fresh.run_program(p, u64::MAX).unwrap();
+            let rs = shared.run_program(p, u64::MAX).unwrap();
+            assert!(rf.halted && rs.halted, "{}", w.name);
+            assert_eq!(shared.checksum(), fresh.checksum(), "{}", w.name);
+            assert_eq!(shared.state_digest(), fresh.state_digest(), "{}", w.name);
+            assert_eq!(shared.executed(), fresh.executed(), "{}", w.name);
+            assert!(
+                image.delta_from(&Memory::image_of(p)).is_empty(),
+                "{}",
+                w.name
+            );
+        }
     }
 }

@@ -1,3 +1,4 @@
+use reno_isa::Program;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -42,6 +43,21 @@ impl Memory {
     /// Creates an empty memory.
     pub fn new() -> Memory {
         Memory::default()
+    }
+
+    /// `program`'s initial memory image: its data segments loaded, the
+    /// dirty set empty. [`crate::Cpu::from_image`] starts a machine from a
+    /// copy-on-write clone of it, so machines of one program built from
+    /// one image share every page none of them has written.
+    pub fn image_of(program: &Program) -> Memory {
+        let mut mem = Memory::new();
+        for seg in &program.data {
+            mem.write_bytes(seg.addr, &seg.bytes);
+        }
+        // Dirty tracking measures writes *since the initial image*: loading
+        // the program's own data segments does not count.
+        mem.clear_dirty();
+        mem
     }
 
     #[inline]
@@ -224,6 +240,16 @@ impl Memory {
             Some(p) => p.to_vec(),
             None => vec![0u8; PAGE_SIZE],
         }
+    }
+
+    /// Number of pages resident in both `self` and `other` that hold one
+    /// shared allocation.
+    #[cfg(test)]
+    pub(crate) fn shared_pages(&self, other: &Memory) -> usize {
+        self.pages
+            .iter()
+            .filter(|(pno, p)| other.pages.get(pno).is_some_and(|q| Arc::ptr_eq(p, q)))
+            .count()
     }
 
     /// Overwrites one whole page with `bytes` (see [`PAGE_BYTES`]),

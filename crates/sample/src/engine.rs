@@ -497,7 +497,7 @@ impl CheckpointPass {
     /// Runs the serial functional pass for `program` under sampling shape
     /// `sc` (the period taken from `sc.period`). See the type docs.
     pub fn compute(program: &Program, sc: &SampleConfig) -> CheckpointPass {
-        functional_pass(program, sc, sc.period)
+        functional_pass(program, &Memory::image_of(program), sc)
     }
 
     /// Serializes to a self-describing little-endian byte stream.
@@ -615,9 +615,10 @@ impl CheckpointPass {
     }
 }
 
-fn functional_pass(program: &Program, sc: &SampleConfig, period: u64) -> CheckpointPass {
+fn functional_pass(program: &Program, image: &Memory, sc: &SampleConfig) -> CheckpointPass {
+    let period = sc.period;
     let (k, m) = segment_shape(period);
-    let mut cpu = Cpu::new(program);
+    let mut cpu = Cpu::from_image(program, image);
     let mut dp = DecodedProgram::new(program);
     let mut checkpoints = Vec::new();
     let mut error = None;
@@ -739,7 +740,7 @@ fn run_segment(
     cfg: &MachineConfig,
     sc: &SampleConfig,
     period: u64,
-    base_mem: &Memory,
+    image: &Memory,
     total: u64,
     job: &SegmentJob<'_>,
 ) -> Result<SegmentOut, SampleError> {
@@ -758,9 +759,9 @@ fn run_segment(
             };
             parsed
                 .map_err(|e| SampleError::BadCheckpoint(format!("segment {}: {e}", job.index)))?
-                .restore_with_base(base_mem)
+                .restore_with_base(image)
         }
-        None => Cpu::new(program),
+        None => Cpu::from_image(program, image),
     };
     debug_assert_eq!(cpu.executed(), job.start);
     let mut dp = DecodedProgram::new(program);
@@ -789,7 +790,8 @@ fn run_segment(
         reno_chaos::failpoint!(FP_MEASURE_WINDOW, job.index);
         let budget = (sc.head + DRAIN_PAD).min(sc.max_insts);
         let end = sc.head.min(budget);
-        let sim = Simulator::resume(program, cfg.clone(), Cpu::new(program), budget, warm)
+        let head_cpu = Cpu::from_image(program, image);
+        let sim = Simulator::resume(program, cfg.clone(), head_cpu, budget, warm)
             .with_measure_window(0, end);
         let (r, trained) = sim.run_with_state(INTERVAL_MAX_CYCLES);
         warm = trained;
@@ -915,7 +917,7 @@ fn exact_segment_fallback(
     cfg: &MachineConfig,
     sc: &SampleConfig,
     period: u64,
-    base_mem: &Memory,
+    image: &Memory,
     pass: &CheckpointPass,
     job: &SegmentJob<'_>,
 ) -> (SegmentOut, ExactSegment) {
@@ -930,11 +932,11 @@ fn exact_segment_fallback(
     // Latest restorable checkpoint at or before the segment head. The
     // segment's own checkpoint is pass.checkpoints[job.index - 1]; walk
     // back from there until one parses cleanly.
-    let mut cpu = Cpu::new(program);
+    let mut cpu = Cpu::from_image(program, image);
     if job.index > 0 {
         for i in (0..job.index as usize).rev() {
             if let Ok(ck) = Checkpoint::from_bytes(&pass.checkpoints[i]) {
-                cpu = ck.restore_with_base(base_mem);
+                cpu = ck.restore_with_base(image);
                 break;
             }
         }
@@ -1236,21 +1238,32 @@ fn feature_drift(result: &SampledResult, ft: &FeatureTable) -> Option<f64> {
 ///
 /// Panics if `sc` is inconsistent (see [`SampleConfig::new`]).
 pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> SampledResult {
+    sampled_on(program, &Memory::image_of(program), cfg, sc)
+}
+
+/// [`run_sampled`] with every machine started from `image`, `program`'s
+/// initial memory image (see [`Cpu::from_image`]).
+fn sampled_on(
+    program: &Program,
+    image: &Memory,
+    cfg: MachineConfig,
+    sc: &SampleConfig,
+) -> SampledResult {
     sc.validate();
     // Phase 1 runs under the same isolation discipline as the segment
     // workers: a panic is caught, retried once, and a persistent failure
     // degrades the whole run to the deterministic full-detail fallback —
     // this function never panics on a fault, only on a misused config.
-    let (pass, healed) = match run_caught(|| functional_pass(program, sc, sc.period)) {
+    let (pass, healed) = match run_caught(|| functional_pass(program, image, sc)) {
         Ok(p) => (Ok(p), None),
         Err(p0) => (
-            run_caught(|| functional_pass(program, sc, sc.period)).map_err(|_| p0),
+            run_caught(|| functional_pass(program, image, sc)).map_err(|_| p0),
             Some(FaultRecovery::Retried),
         ),
     };
     let (error, pass) = match pass {
         Ok(pass) => {
-            match run_sampled_with_pass(program, cfg.clone(), sc, &pass) {
+            match with_pass_on(program, image, cfg.clone(), sc, &pass) {
                 Ok(mut r) => {
                     if let Some(recovery) = healed {
                         r.segment_faults.insert(
@@ -1276,7 +1289,7 @@ pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> 
     };
     eprintln!("reno-sample: phase-1 pass failed ({error}); exact full-detail fallback");
     let max = pass.as_ref().map_or(sc.max_insts, |p| p.total_insts);
-    let mut r = full_detail(program, cfg, max.min(sc.max_insts));
+    let mut r = full_detail(program, image, cfg, max.min(sc.max_insts));
     r.segment_faults.push(SegmentFault {
         segment: u64::MAX,
         error,
@@ -1308,6 +1321,18 @@ pub fn run_sampled(program: &Program, cfg: MachineConfig, sc: &SampleConfig) -> 
 /// Panics if `sc` is inconsistent (see [`SampleConfig::new`]).
 pub fn run_sampled_with_pass(
     program: &Program,
+    cfg: MachineConfig,
+    sc: &SampleConfig,
+    pass: &CheckpointPass,
+) -> Result<SampledResult, PassError> {
+    with_pass_on(program, &Memory::image_of(program), cfg, sc, pass)
+}
+
+/// [`run_sampled_with_pass`] with every machine started from `image`,
+/// `program`'s initial memory image (see [`Cpu::from_image`]).
+fn with_pass_on(
+    program: &Program,
+    image: &Memory,
     cfg: MachineConfig,
     sc: &SampleConfig,
     pass: &CheckpointPass,
@@ -1388,7 +1413,6 @@ pub fn run_sampled_with_pass(
         });
     }
 
-    let base_mem = Cpu::new(program).mem().clone();
     // Self-healing fan-out: panics are caught per job; a failed segment is
     // retried once serially (in job order, on this thread — a transient
     // fault reproduces the healthy bytes exactly), and a segment that fails
@@ -1400,7 +1424,7 @@ pub fn run_sampled_with_pass(
         Err(p) => Err(SampleError::SegmentPanic(p.message)),
     };
     let first = try_par_map(&jobs, |job| {
-        run_segment(program, &cfg, sc, period, &base_mem, total, job)
+        run_segment(program, &cfg, sc, period, image, total, job)
     });
     let mut segment_faults: Vec<SegmentFault> = Vec::new();
     let mut exact_segments: Vec<ExactSegment> = Vec::new();
@@ -1410,7 +1434,7 @@ pub fn run_sampled_with_pass(
             Ok(out) => outs.push(out),
             Err(error) => {
                 let retried = flatten(run_caught(|| {
-                    run_segment(program, &cfg, sc, period, &base_mem, total, job)
+                    run_segment(program, &cfg, sc, period, image, total, job)
                 }));
                 match retried {
                     Ok(out) => {
@@ -1423,7 +1447,7 @@ pub fn run_sampled_with_pass(
                     }
                     Err(_persistent) => {
                         let (out, exact) =
-                            exact_segment_fallback(program, &cfg, sc, period, &base_mem, pass, job);
+                            exact_segment_fallback(program, &cfg, sc, period, image, pass, job);
                         segment_faults.push(SegmentFault {
                             segment: job.index,
                             error,
@@ -1513,8 +1537,13 @@ pub fn run_sampled_with_pass(
 /// [`SampledResult`]: one "head" window covering the entire run, estimate
 /// == measurement. The honest escape hatch of [`run_sampled_auto`] for
 /// programs sampling cannot serve.
-fn full_detail(program: &Program, cfg: MachineConfig, max_insts: u64) -> SampledResult {
-    let r = Simulator::with_fuel(program, cfg, max_insts)
+fn full_detail(
+    program: &Program,
+    image: &Memory,
+    cfg: MachineConfig,
+    max_insts: u64,
+) -> SampledResult {
+    let r = Simulator::from_cpu(program, cfg, Cpu::from_image(program, image), max_insts)
         .with_measure_window(0, u64::MAX)
         .run(u64::MAX);
     // The start mark fires at cycle 0, so a missing window is a simulator
@@ -1563,8 +1592,14 @@ const DRIFT_LIMIT: f64 = 0.5;
 /// half belong to the steady state the windows claim to represent.
 type RareEventAnchor = Option<(u64, u64)>;
 
-fn rare_event_anchor(program: &Program, cfg: &MachineConfig, head: u64) -> RareEventAnchor {
-    let r = Simulator::with_fuel(program, cfg.clone(), head + DRAIN_PAD)
+fn rare_event_anchor(
+    program: &Program,
+    image: &Memory,
+    cfg: &MachineConfig,
+    head: u64,
+) -> RareEventAnchor {
+    let cpu = Cpu::from_image(program, image);
+    let r = Simulator::from_cpu(program, cfg.clone(), cpu, head + DRAIN_PAD)
         .with_measure_window(head / 2, head)
         .run(INTERVAL_MAX_CYCLES);
     let (s, e) = r.measured()?;
@@ -1625,11 +1660,14 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
     const WARMUP: u64 = 2048;
     const INTERVAL: u64 = 768;
 
+    // Every machine this call builds starts from one copy-on-write image.
+    let image = Memory::image_of(program);
+
     // Length probe: a bare functional pass over predecoded blocks (several
     // times cheaper than even the warming fast-forward) so rungs that
     // cannot field enough windows are skipped instead of run and discarded.
     let total = {
-        let mut cpu = Cpu::new(program);
+        let mut cpu = Cpu::from_image(program, &image);
         let mut dp = DecodedProgram::new(program);
         match cpu.run_decoded(&mut dp, max_insts) {
             Ok(r) => r.executed,
@@ -1644,7 +1682,7 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
     // rungs' gates (skipped when no rung can field enough windows anyway —
     // `p1` is the denser rung, so its window guard is the weaker one).
     let anchor = if total.saturating_sub(HEAD) / p1 >= MIN_WINDOWS {
-        rare_event_anchor(program, &cfg, HEAD)
+        rare_event_anchor(program, &image, &cfg, HEAD)
     } else {
         None
     };
@@ -1671,7 +1709,7 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
         let sc0 = SampleConfig::new(WARMUP, INTERVAL, p0)
             .with_head(HEAD)
             .with_max_insts(max_insts);
-        let r0 = run_sampled(program, cfg.clone(), &sc0);
+        let r0 = sampled_on(program, &image, cfg.clone(), &sc0);
         let (iv, r2, ci, profile_ok) = diag(&r0);
         if iv >= MIN_WINDOWS
             && profile_ok
@@ -1690,7 +1728,7 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
         let sc1 = SampleConfig::new(WARMUP, INTERVAL, p1)
             .with_head(HEAD)
             .with_max_insts(max_insts);
-        let r1 = run_sampled(program, cfg.clone(), &sc1);
+        let r1 = sampled_on(program, &image, cfg.clone(), &sc1);
         let (iv, r2, ci, profile_ok) = diag(&r1);
         if iv >= MIN_WINDOWS
             && profile_ok
@@ -1700,7 +1738,7 @@ pub fn run_sampled_auto(program: &Program, cfg: MachineConfig, max_insts: u64) -
         }
     }
 
-    full_detail(program, cfg, max_insts)
+    full_detail(program, &image, cfg, max_insts)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@ use crate::{MachineConfig, SimResult, SimStats};
 use reno_core::Reno;
 use reno_cpa::{Bucket, InstRecord};
 use reno_func::{Cpu, DynInst, Oracle};
-use reno_isa::{OpClass, Opcode, Program, Reg, RenameClass, STACK_TOP};
+use reno_isa::{OpClass, Opcode, Program, Reg, RenameClass};
 use reno_mem::{MemHierarchy, ServedBy};
 use reno_trace::{BranchClass, EventKind, PipelineTrace, RenameOutcome, SquashCause, SysEventKind};
 use reno_uarch::{ControlKind, FrontEnd, StoreSets};
@@ -449,7 +449,6 @@ impl<'p> Simulator<'p> {
             };
             total
         ];
-        debug_assert_eq!(Cpu::new(program).reg(Reg::SP), STACK_TOP as i64);
         for r in Reg::all() {
             pregs[r.index()].val = cpu.reg(r);
         }
