@@ -15,7 +15,6 @@
 //! | `table_fusion` | §3.3 — fusion-latency sensitivity |
 //! | `table_e1` | §3.2 — dependent-elimination rule ablation |
 //! | `table_sample` | sampled-vs-full validation of the `reno-sample` subsystem |
-//! | `bench_snapshot` | perf trajectory — appends to `BENCH_sim.json` |
 //!
 //! Each binary prints a plain-text table whose rows correspond to the
 //! paper's bars/series. `RENO_SCALE=tiny|small|default` selects workload
@@ -36,7 +35,6 @@ use reno_sim::{MachineConfig, SimResult, Simulator};
 use reno_workloads::{Scale, Workload};
 
 pub mod figures;
-pub mod report;
 pub mod sampling;
 pub mod trace_demo;
 pub mod trace_stats;

@@ -711,6 +711,7 @@ pub fn run_sweep(spec: &SweepSpec, store: &Store, opts: &SweepOptions) -> io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reno_trace::{parse_json, Value};
 
     /// Pins the `stats.json` schema the `dse` binary writes next to
     /// `--out`: syntactically valid JSON carrying every counter under its
@@ -735,9 +736,12 @@ mod tests {
         };
         let json = s.to_json();
         assert!(json.ends_with('\n'), "one newline-terminated line");
-        reno_trace::validate_json(json.trim_end()).expect("valid JSON");
-        assert!(json.starts_with("{\"schema\":\"reno-dse-stats-v3\","));
-        for (key, value) in [
+        let doc = parse_json(&json).expect("valid JSON");
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("reno-dse-stats-v3")
+        );
+        let counters = [
             ("cells", 12u64),
             ("computed", 3),
             ("cached", 9),
@@ -752,14 +756,25 @@ mod tests {
             ("gc_reclaimed_bytes", 4096),
             ("store_bytes", 65536),
             ("shared_objects", 2),
-        ] {
-            assert!(
-                json.contains(&format!("\"{key}\":{value}")),
-                "missing {key}: {json}"
+        ];
+        for (key, value) in counters {
+            assert_eq!(
+                doc.get(key).and_then(Value::as_u64),
+                Some(value),
+                "{key}: {json}"
             );
         }
+        let Value::Obj(fields) = &doc else {
+            panic!("stats.json is an object: {json}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let want: Vec<&str> = std::iter::once("schema")
+            .chain(counters.iter().map(|&(k, _)| k))
+            .collect();
+        assert_eq!(keys, want, "every counter once, in a fixed order");
         // Defaults serialize too (a sweep that did nothing still reports).
-        reno_trace::validate_json(SweepStats::default().to_json().trim_end()).expect("valid JSON");
+        let empty = parse_json(&SweepStats::default().to_json()).expect("valid JSON");
+        assert_eq!(empty.get("cells").and_then(Value::as_u64), Some(0));
     }
 
     /// The full-mode budget check: only a run stopped by its cycle cap is

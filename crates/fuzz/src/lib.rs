@@ -1,12 +1,13 @@
 //! # reno-fuzz — deterministic fuzzing of the untrusted byte surfaces
 //!
-//! The repository trusts exactly two byte formats it did not produce in the
-//! same process: 32-bit instruction words handed to [`reno_isa::decode`],
-//! and serialized [`reno_func::Checkpoint`] images handed to
-//! `Checkpoint::from_bytes`. Both must *reject, never panic* on arbitrary
-//! input, and both parsers are strict enough to be bijections on their
-//! image — an accepted input re-serializes to exactly the bytes that came
-//! in. This crate holds the harnesses that hammer on those two contracts:
+//! The repository reads six formats it did not produce in the same
+//! process: 32-bit instruction words handed to [`reno_isa::decode`],
+//! serialized [`reno_func::Checkpoint`] images, checkpoint-pass images,
+//! DSE store-entry frames, sweep-journal and lease lines, and assembler
+//! programs. Each reader must *reject, never panic* on arbitrary input,
+//! and the binary readers are strict enough that an accepted input
+//! re-serializes to exactly the bytes that came in. This crate holds one
+//! harness per surface:
 //!
 //! * [`run_decode_fuzz`] — byte-level fuzzing of instruction decode:
 //!   uniformly random words, opcode-biased words, and bit-flip mutants of
@@ -28,12 +29,6 @@
 //!   frames (`decode_entry`): bit flips, truncations, length/checksum/key
 //!   lies, kind swaps and duplicated frames must be rejected-as-miss, never
 //!   panic, never over-allocate; accepted frames re-encode byte-exactly.
-//! * [`run_report_fuzz`] — the `BENCH_sim.json` perf-trajectory reader
-//!   (`reno_bench::report`): textual mutations of valid trajectory files
-//!   (bit flips, line deletions/duplications/swaps, truncations, digit
-//!   corruption, quote deletion, garbage) must validate-or-reject without
-//!   panicking, and anything accepted must flow through the `check` +
-//!   `render` gate path panic-free.
 //! * [`run_journal_fuzz`] — the sweep-journal and lease-file line formats
 //!   (`reno_dse::replay_journal`, `reno_dse::Lease::parse`): seal flips,
 //!   truncations, line deletions/duplications/swaps, interleaved-writer
@@ -51,14 +46,14 @@
 //! Everything is seeded (`RENO_FUZZ_SEED`) and iteration-bounded
 //! (`RENO_FUZZ_ITERS`), so a CI smoke run and a long local soak use the same
 //! binaries (`fuzz_decode`, `fuzz_checkpoint`, `fuzz_pass`, `fuzz_store`,
-//! `fuzz_journal`, `fuzz_asm`, `fuzz_report`) and any finding reproduces
-//! exactly. Findings graduate into plain `#[test]` regression cases under
+//! `fuzz_journal`, `fuzz_asm`) and any finding reproduces exactly.
+//! Findings graduate into plain `#[test]` regression cases under
 //! `crates/isa/tests/decode_corpus.rs`,
 //! `crates/func/tests/checkpoint_corpus.rs`,
 //! `crates/sample/tests/pass_corpus.rs`,
 //! `crates/dse/tests/store_corpus.rs`,
-//! `crates/dse/tests/journal_corpus.rs`, `crates/isa/tests/asm_corpus.rs`
-//! and `crates/bench/tests/report_corpus.rs`.
+//! `crates/dse/tests/journal_corpus.rs` and
+//! `crates/isa/tests/asm_corpus.rs`.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -1003,211 +998,6 @@ pub fn run_journal_fuzz(seed: u64, iters: u64) -> FuzzReport {
     report
 }
 
-// ------------------------------------------------------------------ report
-//
-// Textual mutation of the repo-root `BENCH_sim.json` perf trajectory fed
-// to `reno_bench::report::validate` — the one *text* format the repo reads
-// back after a human (or an interrupted `bench_snapshot`) may have edited
-// it. The contract: `validate` must accept-or-reject without panicking,
-// and whatever it accepts must flow through `check` and `render` without
-// panicking either (the gate runs on CI, where a panic is a lost signal).
-
-/// One syntactically valid v2 trajectory entry line (no trailing comma).
-fn report_v2_entry(label: &str, ts: u64, medians: [u64; 3], bests: [u64; 3]) -> String {
-    format!(
-        "{{\"label\":\"{label}\",\"scale\":\"default\",\"threads\":1,\"mode\":\"full\",\
-         \"rustc\":\"rustc 1.95.0\",\"git_rev\":\"abc1234\",\"timestamp_unix\":{ts},\"reps\":5,\
-         \"baseline_cycles_per_sec\":{},\"baseline_cycles_per_sec_best\":{},\
-         \"cf_me_cycles_per_sec\":{},\"cf_me_cycles_per_sec_best\":{},\
-         \"reno_cycles_per_sec\":{},\"reno_cycles_per_sec_best\":{}}}",
-        medians[0], bests[0], medians[1], bests[1], medians[2], bests[2]
-    )
-}
-
-/// The mutation corpus: valid trajectory files spanning both schema
-/// generations — v1-only history, a paired v2 measurement window (so the
-/// gate path is live), and a mixed file.
-pub fn report_corpus() -> Vec<String> {
-    let header = "{\"schema\":\"reno-bench-snapshot-v1\",\n\
-                  \"unit\":\"simulated_cycles_per_host_second\",\n\
-                  \"entries\":[\n";
-    let v1 = |label: &str, m: [u64; 3]| {
-        format!(
-            "{{\"label\":\"{label}\",\"baseline_cycles_per_sec\":{},\
-             \"cf_me_cycles_per_sec\":{},\"reno_cycles_per_sec\":{}}}",
-            m[0], m[1], m[2]
-        )
-    };
-    let file = |entries: &[String]| format!("{header}{}\n]}}\n", entries.join(",\n"));
-    vec![
-        file(&[v1("seed", [100, 110, 120]), v1("pr2", [130, 125, 140])]),
-        file(&[
-            report_v2_entry("pre-opt", 1000, [1000, 1000, 1000], [1100, 1050, 1000]),
-            report_v2_entry("opt", 1100, [1200, 890, 1000], [1210, 930, 1050]),
-        ]),
-        file(&[
-            v1("seed", [100, 110, 120]),
-            report_v2_entry("pre-hot", 5000, [900, 900, 900], [910, 905, 900]),
-            report_v2_entry("hot", 5100, [950, 940, 930], [960, 950, 940]),
-        ]),
-    ]
-}
-
-/// Applies one random textual mutation to the file bytes.
-fn mutate_report(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
-    let lines_of = |b: &[u8]| -> Vec<(usize, usize)> {
-        let mut spans = Vec::new();
-        let mut start = 0usize;
-        for (i, &c) in b.iter().enumerate() {
-            if c == b'\n' {
-                spans.push((start, i + 1));
-                start = i + 1;
-            }
-        }
-        if start < b.len() {
-            spans.push((start, b.len()));
-        }
-        spans
-    };
-    match rng.gen_range(0u32..9) {
-        // Single bit flip anywhere.
-        0 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                bytes[i] ^= 1 << rng.gen_range(0u32..8);
-            }
-        }
-        // Overwrite one byte with a structural character.
-        1 => {
-            if !bytes.is_empty() {
-                let i = rng.gen_range(0usize..bytes.len());
-                const STRUCT: &[u8] = b"{}[]\",:.-0 ";
-                bytes[i] = STRUCT[rng.gen_range(0usize..STRUCT.len())];
-            }
-        }
-        // Delete a whole line (header, entry, or footer).
-        2 => {
-            let spans = lines_of(bytes);
-            if !spans.is_empty() {
-                let (s, e) = spans[rng.gen_range(0usize..spans.len())];
-                bytes.drain(s..e);
-            }
-        }
-        // Duplicate a line in place (duplicate entries, doubled headers).
-        3 => {
-            let spans = lines_of(bytes);
-            if !spans.is_empty() {
-                let (s, e) = spans[rng.gen_range(0usize..spans.len())];
-                let line = bytes[s..e].to_vec();
-                bytes.splice(e..e, line);
-            }
-        }
-        // Swap two lines (entries out of order, footer before entries).
-        4 => {
-            let spans = lines_of(bytes);
-            if spans.len() >= 2 {
-                let a = rng.gen_range(0usize..spans.len());
-                let b = rng.gen_range(0usize..spans.len());
-                if a != b {
-                    let (a, b) = (a.min(b), a.max(b));
-                    let la = bytes[spans[a].0..spans[a].1].to_vec();
-                    let lb = bytes[spans[b].0..spans[b].1].to_vec();
-                    bytes.splice(spans[b].0..spans[b].1, la);
-                    bytes.splice(spans[a].0..spans[a].1, lb);
-                }
-            }
-        }
-        // Truncate (torn append).
-        5 => {
-            let keep = rng.gen_range(0usize..=bytes.len());
-            bytes.truncate(keep);
-        }
-        // Corrupt one digit: sign flips, non-numeric junk, huge exponents.
-        6 => {
-            let digits: Vec<usize> = bytes
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.is_ascii_digit())
-                .map(|(i, _)| i)
-                .collect();
-            if !digits.is_empty() {
-                let i = digits[rng.gen_range(0usize..digits.len())];
-                const JUNK: &[u8] = b"-xe.";
-                bytes[i] = JUNK[rng.gen_range(0usize..JUNK.len())];
-            }
-        }
-        // Delete one quoted token (a key name, a string value, a quote
-        // pair), desynchronizing the key/value structure.
-        7 => {
-            let quotes: Vec<usize> = bytes
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c == b'"')
-                .map(|(i, _)| i)
-                .collect();
-            if quotes.len() >= 2 {
-                let k = rng.gen_range(0usize..quotes.len() - 1);
-                bytes.drain(quotes[k]..=quotes[k + 1]);
-            }
-        }
-        // Insert garbage at a random position.
-        _ => {
-            let at = rng.gen_range(0usize..=bytes.len());
-            let n = rng.gen_range(1usize..=8);
-            let garbage: Vec<u8> = (0..n).map(|_| rng.gen::<u8>()).collect();
-            bytes.splice(at..at, garbage);
-        }
-    }
-}
-
-/// One report-contract check: `validate`-or-reject without panic, and an
-/// accepted trajectory must survive `check` + `render` without panicking.
-pub fn check_report_text(text: &str, report: &mut FuzzReport, ctx: &str) {
-    use reno_bench::report::{check, render, validate};
-    match catch_unwind(AssertUnwindSafe(|| validate(text))) {
-        Err(_) => report.fail(format!(
-            "report::validate panicked on {}-byte input, {ctx}",
-            text.len()
-        )),
-        Ok(Err(_)) => report.rejected += 1,
-        Ok(Ok(entries)) => {
-            match catch_unwind(AssertUnwindSafe(|| {
-                let verdicts = check(&entries);
-                render(&entries, &verdicts)
-            })) {
-                Err(_) => report.fail(format!(
-                    "report::check/render panicked on a validated {}-entry trajectory, {ctx}",
-                    entries.len()
-                )),
-                Ok(_) => report.accepted += 1,
-            }
-        }
-    }
-}
-
-/// Fuzzes [`reno_bench::report::validate`] (and, on acceptance,
-/// `check` + `render`) for `iters` iterations from `seed`, mutating a
-/// corpus of valid trajectory files: bit flips, line deletions/
-/// duplications/swaps, truncations, digit corruption, quoted-token
-/// deletion, and garbage insertion. Mutants with invalid UTF-8 exercise
-/// the lossy-decoding path a text editor can produce.
-pub fn run_report_fuzz(seed: u64, iters: u64) -> FuzzReport {
-    let corpus = report_corpus();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut report = FuzzReport::default();
-    for i in 0..iters {
-        let mut bytes = corpus[rng.gen_range(0usize..corpus.len())]
-            .clone()
-            .into_bytes();
-        for _ in 0..rng.gen_range(1u32..=3) {
-            mutate_report(&mut bytes, &mut rng);
-        }
-        let text = String::from_utf8_lossy(&bytes);
-        check_report_text(&text, &mut report, &format!("iter {i} (seed {seed})"));
-    }
-    report
-}
-
 // --------------------------------------------------------------------- asm
 
 /// What the generator deliberately planted in one random program, so the
@@ -1466,26 +1256,6 @@ mod tests {
                 Err(_) => assert_eq!(i, 4, "only the foreign-sweep file errors"),
             }
         }
-    }
-
-    #[test]
-    fn report_fuzz_smoke_is_clean() {
-        let r = run_report_fuzz(DEFAULT_SEED, 2000);
-        assert!(r.clean(), "violations: {:?}", r.failures);
-        assert!(r.accepted > 0, "some mutants still validate");
-        assert!(r.rejected > 0, "mutations mostly break the file");
-    }
-
-    #[test]
-    fn report_corpus_is_valid_and_gates() {
-        for (i, file) in report_corpus().iter().enumerate() {
-            let entries = reno_bench::report::validate(file)
-                .unwrap_or_else(|e| panic!("corpus file {i} must validate: {e}"));
-            assert!(!entries.is_empty());
-        }
-        // The paired-v2 corpus file drives the gate path, not just parsing.
-        let entries = reno_bench::report::validate(&report_corpus()[1]).unwrap();
-        assert_eq!(reno_bench::report::check(&entries).len(), 1);
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //! directly in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`,
 //! turning a single simulation into a browsable pipeline visualization; the
 //! `trace_dump` binary in `reno-bench` is the command-line entry point.
+//!
+//! [`parse_json`] reads an export back into a [`Value`] tree. It is the
+//! workspace's one JSON reader: `trace_stats` analyzes exports with it, and
+//! tests use it to check that what the writers emit is valid JSON.
 
 use reno_isa::Opcode;
 use std::collections::{BTreeMap, HashMap};
@@ -727,119 +731,252 @@ pub fn chrome_trace_json(trace: &PipelineTrace) -> String {
     out
 }
 
-/// Minimal JSON syntax check (objects, arrays, strings, numbers, literals).
-/// Not a full RFC 8259 validator, but strict enough to catch any structural
-/// bug in the writer: unbalanced brackets, bad separators, bare tokens.
+/// Deepest `[`/`{` nesting [`parse_json`] accepts. The exports nest 4 deep;
+/// the bound keeps a hostile input from overflowing the recursive reader's
+/// stack.
+const MAX_DEPTH: usize = 64;
+
+/// A parsed JSON value. Object keys keep insertion order (the writers are
+/// deterministic, so lookups never depend on it).
+#[derive(Debug)]
+pub enum Value {
+    /// `{...}` — key/value pairs in document order.
+    Obj(Vec<(String, Value)>),
+    /// `[...]`
+    Arr(Vec<Value>),
+    /// `"..."`
+    Str(String),
+    /// Any number (the exports only write integers and short decimals,
+    /// all exactly representable).
+    Num(f64),
+    /// `true` / `false`
+    Bool(bool),
+    /// `null`
+    Null,
+}
+
+impl Value {
+    /// Object field lookup; `None` on missing key or non-object.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as a non-negative integer (cycle counts, ids).
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().filter(|n| *n >= 0.0).map(|n| n as u64)
+    }
+}
+
+struct Parser<'a> {
+    s: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn byte(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn err(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.byte() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", c as char)))
+        }
+    }
+
+    fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        match self.peek() {
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
+        if self.s[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(self.err("bad literal"))
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(fields));
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            fields.push((key, self.value()?));
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Unescaped runs are copied as `&str` slices, so non-ASCII text keeps
+    /// its UTF-8 encoding; a run always ends on an ASCII `"` or `\`, which
+    /// is a char boundary.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut s = String::new();
+        loop {
+            let run = self.pos;
+            while self.byte().is_some_and(|c| c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            s.push_str(&self.s[run..self.pos]);
+            match self.byte() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(s);
+                }
+                Some(_) => {
+                    // The run stopped on a backslash: decode one escape.
+                    self.pos += 1;
+                    s.push(match self.byte() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(_) => return Err(self.err("unsupported escape")),
+                        None => return Err(self.err("open escape")),
+                    });
+                    self.pos += 1;
+                }
+                None => return Err(self.err("unterminated string")),
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.byte() == Some(b'-') {
+            self.pos += 1;
+        }
+        while self
+            .byte()
+            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        self.s[start..self.pos]
+            .parse::<f64>()
+            .map(Value::Num)
+            .map_err(|_| self.err("bad number"))
+    }
+}
+
+/// Parses one JSON document into a [`Value`] tree. This is the workspace's
+/// one JSON reader: `trace_stats` analyzes [`chrome_trace_json`] exports
+/// with it, and callers that only need a syntax check drop the value.
+///
+/// The grammar is the one the writers use. Strings decode only the escapes
+/// `\"`, `\\`, `\/`, `\n`, `\t` and `\r`; `\u` escapes are rejected, not
+/// decoded. Numbers are an optional `-` followed by digits, `.`, `e`/`E`
+/// and signs that together parse as an `f64`, so a bare `-` or `1-2` is an
+/// error. Containers nest at most 64 deep.
 ///
 /// # Errors
 ///
-/// Returns a description and byte offset of the first syntax violation.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
+/// A description and byte offset of the first syntax problem.
+pub fn parse_json(s: &str) -> Result<Value, String> {
+    let mut p = Parser {
+        s,
+        pos: 0,
+        depth: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != s.len() {
+        return Err(p.err("trailing garbage"));
     }
-    fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    skip_ws(b, pos);
-                    string(b, pos)?;
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {pos}"));
-                    }
-                    *pos += 1;
-                    value(b, pos)?;
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    value(b, pos)?;
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, pos),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                *pos += 1;
-                while *pos < b.len()
-                    && (b[*pos].is_ascii_digit()
-                        || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    *pos += 1;
-                }
-                Ok(())
-            }
-            _ => {
-                for lit in ["true", "false", "null"] {
-                    if s_at(b, *pos, lit) {
-                        *pos += lit.len();
-                        return Ok(());
-                    }
-                }
-                Err(format!("unexpected token at byte {pos}"))
-            }
-        }
-    }
-    fn s_at(b: &[u8], pos: usize, lit: &str) -> bool {
-        b.len() >= pos + lit.len() && &b[pos..pos + lit.len()] == lit.as_bytes()
-    }
-    fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        while let Some(&c) = b.get(*pos) {
-            match c {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(());
-                }
-                b'\\' => *pos += 2,
-                _ => *pos += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-    value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -987,7 +1124,7 @@ mod tests {
     #[test]
     fn sys_tracks_render_as_instants_and_counters() {
         let j = chrome_trace_json(&demo_trace());
-        validate_json(&j).expect("writer emits syntactically valid JSON");
+        parse_json(&j).expect("writer emits syntactically valid JSON");
         assert!(j.contains("\"name\":\"memory\""));
         assert!(j.contains("\"name\":\"predictor\""));
         assert!(j.contains("\"name\":\"L1D miss\""));
@@ -1027,7 +1164,7 @@ mod tests {
         // Counts double, and the writer stays valid on merged traces.
         assert_eq!(merged.retire_count(), 2 * t.retire_count());
         assert_eq!(merged.mshr_alloc_count(), 2 * t.mshr_alloc_count());
-        validate_json(&chrome_trace_json(&merged)).unwrap();
+        parse_json(&chrome_trace_json(&merged)).unwrap();
         // Deterministic: merging equal inputs yields equal bytes.
         let mut again = t.clone();
         again.append_rebased(&t);
@@ -1037,7 +1174,7 @@ mod tests {
     #[test]
     fn chrome_json_is_valid_and_structured() {
         let j = chrome_trace_json(&demo_trace());
-        validate_json(&j).expect("writer emits syntactically valid JSON");
+        parse_json(&j).expect("writer emits syntactically valid JSON");
         assert!(j.starts_with("{\"displayTimeUnit\""));
         // One async span per attempt: 3 fetches -> 3 b/e pairs.
         assert_eq!(j.matches("\"ph\":\"b\"").count(), 3);
@@ -1069,19 +1206,76 @@ mod tests {
         );
         t.sample(12, 1, 0);
         let j = chrome_trace_json(&t);
-        validate_json(&j).unwrap();
+        parse_json(&j).unwrap();
         assert!(j.contains("\"end\":\"inflight\""));
         assert!(j.contains("\"ts\":12"), "closes at the last sampled cycle");
     }
 
+    /// One accept/reject table for the JSON reader. The last rows pin the
+    /// grammar's edges: a bare `-` and `1-2` are not numbers, and `\u`
+    /// escapes are rejected rather than decoded.
     #[test]
-    fn json_validator_rejects_garbage() {
-        assert!(validate_json("{\"a\":1}").is_ok());
-        assert!(validate_json("[1,2,{\"x\":[true,null]}]").is_ok());
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("{\"a\" 1}").is_err());
-        assert!(validate_json("{\"a\":1} trailing").is_err());
-        assert!(validate_json("[1,2").is_err());
-        assert!(validate_json("\"unterminated").is_err());
+    fn json_reader_accept_reject_table() {
+        const CASES: &[(&str, bool)] = &[
+            ("{\"a\":1}", true),
+            ("[1,2,{\"x\":[true,null]}]", true),
+            (" \t\r\n{ } ", true),
+            ("[-3,2.5,1e3,-0.5E-2]", true),
+            (r#""\"\\\/\n\t\r""#, true),
+            ("{\"a\":1,}", false),
+            ("{\"a\" 1}", false),
+            ("{\"a\":1} trailing", false),
+            ("[1,2", false),
+            ("[1,]", false),
+            ("\"unterminated", false),
+            ("\"open escape\\", false),
+            ("", false),
+            ("tru", false),
+            ("-", false),
+            ("1-2", false),
+            (r#""\u0041""#, false),
+        ];
+        for &(text, accept) in CASES {
+            assert_eq!(parse_json(text).is_ok(), accept, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn parser_round_trips_small_documents() {
+        let v = parse_json(r#"{"a":[1,2.5,-3],"b":"x@y","c":true,"d":null}"#).unwrap();
+        assert_eq!(v.get("b").and_then(Value::as_str), Some("x@y"));
+        match v.get("a") {
+            Some(Value::Arr(items)) => {
+                assert_eq!(items.len(), 3);
+                assert_eq!(items[1].as_f64(), Some(2.5));
+                assert_eq!(items[2].as_f64(), Some(-3.0));
+                assert_eq!(items[2].as_u64(), None);
+            }
+            other => panic!("expected array, got {other:?}"),
+        }
+        assert!(matches!(v.get("c"), Some(Value::Bool(true))));
+        assert!(matches!(v.get("d"), Some(Value::Null)));
+        assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn strings_keep_non_ascii_text() {
+        for text in ["café", "→ ✓ 😀", "a\tb é"] {
+            let json = format!("\"{}\"", text.replace('\t', "\\t"));
+            let v = parse_json(&json).unwrap();
+            assert_eq!(v.as_str(), Some(text), "{json:?}");
+        }
+        let v = parse_json("{\"clé\":\"naïve\"}").unwrap();
+        assert_eq!(v.get("clé").and_then(Value::as_str), Some("naïve"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        assert!(parse_json(&"{\"k\":".repeat(100_000)).is_err());
     }
 }
